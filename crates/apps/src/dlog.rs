@@ -130,7 +130,7 @@ impl Client for Engine {
             self.log_rkey,
             ticket.value,
         );
-        let cqe = tb.post_one(ticket.at, self.conn, wr);
+        let cqe = tb.post_one_ref(ticket.at, self.conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         self.produced += n;
         self.meter.borrow_mut().record_n(cqe.at, n);

@@ -204,7 +204,7 @@ impl FrontEnd {
             Self::rkey(self.tables.table[socket]),
             slot,
         );
-        let cqe = tb.post_one(now + hop, conn, wr);
+        let cqe = tb.post_one_ref(now + hop, conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         cqe.at + hop
     }
@@ -234,7 +234,7 @@ impl FrontEnd {
             remote: Some((Self::rkey(self.tables.table[socket]), slot)),
             signaled: true,
         };
-        let cqe = tb.post_one(now + hop, conn, wr);
+        let cqe = tb.post_one_ref(now + hop, conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         cqe.at + hop
     }
@@ -257,7 +257,7 @@ impl FrontEnd {
             Self::rkey(self.tables.table[socket]),
             slot,
         );
-        let cqe = tb.post_one(now + hop + build, conn, wr);
+        let cqe = tb.post_one_ref(now + hop + build, conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         cqe.at + hop
     }
@@ -327,7 +327,7 @@ impl FrontEnd {
             Self::rkey(self.hot[socket]),
             block * BLOCK_ENTRIES * SLOT_BYTES,
         );
-        let cqe = tb.post_one(write_at, conn, wr);
+        let cqe = tb.post_one_ref(write_at, conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         if locked {
             // Release asynchronously once the data write lands.
@@ -683,7 +683,7 @@ pub fn verify_hashtable_contents(keys_to_check: u64) -> bool {
             remote: Some((RKey(table[socket].0 as u64), slot)),
             signaled: true,
         };
-        let cqe = tb.post_one(t, conn[socket], wr);
+        let cqe = tb.post_one_ref(t, conn[socket], &wr);
         let mut buf = key.to_le_bytes().to_vec();
         buf.extend_from_slice(&value);
         tb.machine_mut(0).mem.write(staging, 16, &buf);
@@ -693,7 +693,7 @@ pub fn verify_hashtable_contents(keys_to_check: u64) -> bool {
             RKey(table[socket].0 as u64),
             slot + 8,
         );
-        let cqe2 = tb.post_one(cqe.at, conn[socket], wr2);
+        let cqe2 = tb.post_one_ref(cqe.at, conn[socket], &wr2);
         t = cqe2.at;
         written.insert(key, value);
     }
@@ -804,10 +804,10 @@ mod mixed_workload_tests {
         image.extend_from_slice(&key.to_le_bytes());
         image.extend_from_slice(&workloads::value_for(key, 64));
         tb.machine_mut(0).mem.write(staging, 0, &image);
-        let w = tb.post_one(
+        let w = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(
+            &WorkRequest::write(
                 1,
                 Sge::new(staging, 0, image.len() as u64),
                 RKey(table.0 as u64),
@@ -815,10 +815,10 @@ mod mixed_workload_tests {
             ),
         );
         // Search: read the slot back.
-        let r = tb.post_one(
+        let r = tb.post_one_ref(
             w.at,
             conn,
-            WorkRequest::read(
+            &WorkRequest::read(
                 2,
                 Sge::new(staging, 1024, image.len() as u64),
                 RKey(table.0 as u64),

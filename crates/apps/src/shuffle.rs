@@ -223,7 +223,7 @@ impl Client for Executor {
                         remote: Some((self.sync.1, 0)),
                         signaled: true,
                     };
-                    let cqe = tb.post_one(t, conn, wr);
+                    let cqe = tb.post_one_ref(t, conn, &wr);
                     debug_assert_eq!(cqe.status, CqeStatus::Success);
                     cqe.at
                 }

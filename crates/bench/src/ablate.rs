@@ -22,8 +22,12 @@ fn rand_write_point(cfg: ClusterConfig) -> (f64, f64) {
     let mut cl = ClosedLoop::new(8, ops, move |tb: &mut Testbed, now, i| {
         issues.borrow_mut().push(now);
         let off = rng.gen_range((2u64 << 30) / 32) * 32;
-        tb.post_one(now, conn, WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), off))
-            .at
+        tb.post_one_ref(
+            now,
+            conn,
+            &WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), off),
+        )
+        .at
     });
     {
         let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut cl)];
@@ -100,10 +104,10 @@ pub fn ablate_mtt_capacity() -> Vec<Experiment> {
             let ops = 8000u64;
             let mut cl = ClosedLoop::new(8, ops, move |tb: &mut Testbed, now, i| {
                 let off = rng.gen_range(region / 32) * 32;
-                tb.post_one(
+                tb.post_one_ref(
                     now,
                     conn,
-                    WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), off),
+                    &WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), off),
                 )
                 .at
             });
@@ -178,22 +182,22 @@ pub fn ablate_inline() -> Vec<Experiment> {
         let src = tb.register(0, 1, 4096);
         let dst = tb.register_unbacked(1, 1, 1 << 20);
         let conn = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
-        let warm = tb.post_one(
+        let warm = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(0, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
+            &WorkRequest::write(0, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
         );
-        let c = tb.post_one(
+        let c = tb.post_one_ref(
             warm.at,
             conn,
-            WorkRequest::write(1, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
+            &WorkRequest::write(1, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
         );
         lat.push(inline_max as f64, (c.at - warm.at).as_us());
         let mut cl = ClosedLoop::new(16, 3000, move |tb: &mut Testbed, now, i| {
-            tb.post_one(
+            tb.post_one_ref(
                 now,
                 conn,
-                WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
+                &WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
             )
             .at
         });

@@ -46,7 +46,7 @@ impl Client for RemoteLockClient {
                     remote: Some((self.lock, 0)),
                     signaled: true,
                 };
-                let cqe = tb.post_one(now, self.conn, wr);
+                let cqe = tb.post_one_ref(now, self.conn, &wr);
                 debug_assert_eq!(cqe.status, CqeStatus::Success);
                 if cqe.old_value == 0 {
                     self.phase = LockPhase::Release;
@@ -70,7 +70,7 @@ impl Client for RemoteLockClient {
                     remote: Some((self.lock, 0)),
                     signaled: true,
                 };
-                let cqe = tb.post_one(now, self.conn, wr);
+                let cqe = tb.post_one_ref(now, self.conn, &wr);
                 debug_assert_eq!(cqe.status, CqeStatus::Success);
                 self.cycles_done += 1;
                 self.last = cqe.at;
@@ -190,7 +190,7 @@ pub fn remote_sequencer_mops(threads: usize, tickets_per_thread: u64) -> f64 {
                     remote: Some((rkey, 0)),
                     signaled: true,
                 };
-                tb.post_one(now, conn, wr).at
+                tb.post_one_ref(now, conn, &wr).at
             },
         ));
     }
@@ -224,6 +224,13 @@ pub fn rpc_sequencer_mops(threads: usize, tickets_per_thread: u64, transport: Tr
     let makespan = run_clients(&mut tb, &mut clients, SimTime::MAX);
     drop(clients);
     simcore::mops(threads as u64 * tickets_per_thread, makespan)
+}
+
+/// Fig 10, both panels.
+pub fn fig10() -> Vec<Experiment> {
+    let mut v = fig10a();
+    v.extend(fig10b());
+    v
 }
 
 /// Fig 10(a): spinlock throughput, local vs remote vs RPC (± backoff).

@@ -27,6 +27,7 @@ pub mod txnbench;
 
 pub use appfigs::Scale;
 pub use report::{Experiment, Output};
+use verbcheck::VerbProgram;
 
 /// `0` = decide automatically; otherwise the fixed worker count set by
 /// [`set_parallelism`].
@@ -108,95 +109,100 @@ pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Ve
     results.into_iter().map(|r| r.expect("worker finished")).collect()
 }
 
-/// Every experiment id the harness can regenerate, in paper order.
-pub const ALL_IDS: &[&str] = &[
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "table1",
-    "fig6",
-    "fig8",
-    "table2",
-    "table3",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "extra-mr-scale",
-    "extra-qp-scale",
-    "extra-recovery",
-    "extra-reg-cost",
-    "extra-ycsb",
-    "fig6-xl",
-    "fig6-xxl",
-    "ablate-occupancy",
-    "ablate-mtt",
-    "ablate-backoff",
-    "ablate-inline",
-    "traffic-hashtable",
-    "traffic-shuffle",
-    "traffic-join",
-    "traffic-dlog",
-    "traffic-burst",
-    "traffic-series",
-    "txn-contention",
-    "txn-fairness",
+/// One experiment group the harness can regenerate — the single registry
+/// entry behind `repro <id>`, `repro micro`, `repro --lint <id>`, and
+/// the `--check-determinism` id set.
+pub struct ExperimentSpec {
+    /// The id `repro` accepts.
+    pub id: &'static str,
+    /// Run the group.
+    pub run: fn(Scale) -> Vec<Experiment>,
+    /// The verb programs behind the group's posting patterns, labeled
+    /// `<id>/<variant>` from the id passed in. Empty only for groups that
+    /// post no verbs at all.
+    pub lint: fn(&str) -> Vec<(String, VerbProgram)>,
+    /// Member of the §III microbenchmark set (`repro micro`, the bench
+    /// wall-clock acceptance target).
+    pub micro: bool,
+    /// Member of the `repro --check-determinism` id set.
+    pub determinism: bool,
+}
+
+impl ExperimentSpec {
+    /// This group's labeled lint programs.
+    pub fn programs(&self) -> Vec<(String, VerbProgram)> {
+        (self.lint)(self.id)
+    }
+
+    const fn micro(self) -> Self {
+        ExperimentSpec { micro: true, ..self }
+    }
+
+    const fn determinism(self) -> Self {
+        ExperimentSpec { determinism: true, ..self }
+    }
+}
+
+const fn spec(
+    id: &'static str,
+    run: fn(Scale) -> Vec<Experiment>,
+    lint: fn(&str) -> Vec<(String, VerbProgram)>,
+) -> ExperimentSpec {
+    ExperimentSpec { id, run, lint, micro: false, determinism: false }
+}
+
+/// Every experiment group, in paper order. `determinism` marks the
+/// `--check-determinism` set: txn-contention puts the transactional
+/// service inside the gate, and fig6-xxl's notes carry the fleet memory
+/// digest, so the gate pins sparse-page placement too.
+pub static EXPERIMENTS: &[ExperimentSpec] = &[
+    spec("fig1", |_| micro::fig1(), lint::fig1).micro(),
+    spec("fig3", |_| micro::fig3(), lint::doorbell16).micro(),
+    spec("fig4", |_| micro::fig4(), lint::doorbell32).micro(),
+    spec("fig5", |_| micro::fig5(), lint::fig5).micro(),
+    spec("table1", |_| micro::table1(), lint::doorbell32).micro().determinism(),
+    spec("fig6", |_| micro::fig6(), lint::fig6).micro(),
+    spec("fig8", |_| micro::fig8(), lint::fig8).micro().determinism(),
+    // Local inter-socket memory: no verbs to lint.
+    spec("table2", |_| micro::table2(), |_| Vec::new()).micro().determinism(),
+    spec("table3", |_| micro::table3(), lint::table3).micro(),
+    spec("fig10", |_| atomics::fig10(), lint::atomics),
+    spec("fig12", |_| appfigs::fig12(), lint::hashtable),
+    spec("fig13", |_| appfigs::fig13(), lint::hashtable),
+    spec("fig15", |_| appfigs::fig15(), lint::shuffle),
+    spec("fig16", appfigs::fig16, lint::join),
+    spec("fig17", appfigs::fig17, lint::join),
+    spec("fig18", |_| appfigs::fig18(), lint::join),
+    spec("fig19", |_| appfigs::fig19(), lint::dlog),
+    spec("extra-mr-scale", |_| micro::extra_mr_scale(), lint::mr_scale),
+    spec("extra-qp-scale", |_| micro::extra_qp_scale(), lint::qp_scale),
+    spec("extra-recovery", |_| appfigs::extra_recovery(), lint::recovery),
+    spec("extra-reg-cost", |_| micro::extra_reg_cost(), lint::reg_cost),
+    spec("extra-ycsb", |_| appfigs::extra_ycsb(), lint::ycsb),
+    spec("fig6-xl", micro::fig6_xl, lint::fig6),
+    spec("fig6-xxl", micro::fig6_xxl, lint::fig6).determinism(),
+    spec("ablate-occupancy", |_| ablate::ablate_occupancy(), lint::rand_write),
+    spec("ablate-mtt", |_| ablate::ablate_mtt_capacity(), lint::rand_write),
+    spec("ablate-backoff", |_| ablate::ablate_backoff(), lint::atomics),
+    spec("ablate-inline", |_| ablate::ablate_inline(), lint::inline),
+    spec("traffic-hashtable", |s| openloop::experiment("traffic-hashtable", s), lint::traffic_app),
+    spec("traffic-shuffle", |s| openloop::experiment("traffic-shuffle", s), lint::traffic_app),
+    spec("traffic-join", |s| openloop::experiment("traffic-join", s), lint::traffic_app),
+    spec("traffic-dlog", |s| openloop::experiment("traffic-dlog", s), lint::traffic_app),
+    spec("traffic-burst", txnbench::burst_experiment, lint::traffic_burst),
+    spec("traffic-series", txnbench::series_experiment, lint::traffic_series),
+    spec("txn-contention", txnbench::contention_experiment, lint::txn_contention).determinism(),
+    spec("txn-fairness", txnbench::fairness_experiment, lint::txn_fairness),
 ];
 
-/// The §III microbenchmark set (the bench wall-clock acceptance target).
-pub const MICRO_IDS: &[&str] =
-    &["fig1", "fig3", "fig4", "fig5", "table1", "fig6", "fig8", "table2", "table3"];
+/// The registry entry for `id`, if there is one.
+pub fn experiment(id: &str) -> Option<&'static ExperimentSpec> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
 
-/// Run one experiment group by id.
-pub fn run_experiment(id: &str, scale: Scale) -> Vec<Experiment> {
-    match id {
-        "fig1" => micro::fig1(),
-        "fig3" => micro::fig3(),
-        "fig4" => micro::fig4(),
-        "fig5" => micro::fig5(),
-        "table1" => micro::table1(),
-        "fig6" => micro::fig6(),
-        "fig8" => micro::fig8(),
-        "table2" => micro::table2(),
-        "table3" => micro::table3(),
-        "fig10" => {
-            let mut v = atomics::fig10a();
-            v.extend(atomics::fig10b());
-            v
-        }
-        "fig12" => appfigs::fig12(),
-        "fig13" => appfigs::fig13(),
-        "fig15" => appfigs::fig15(),
-        "fig16" => appfigs::fig16(scale),
-        "fig17" => appfigs::fig17(scale),
-        "fig18" => appfigs::fig18(),
-        "fig19" => appfigs::fig19(),
-        "extra-mr-scale" => micro::extra_mr_scale(),
-        "extra-qp-scale" => micro::extra_qp_scale(),
-        "extra-recovery" => appfigs::extra_recovery(),
-        "extra-reg-cost" => micro::extra_reg_cost(),
-        "extra-ycsb" => appfigs::extra_ycsb(),
-        "fig6-xl" => micro::fig6_xl(scale),
-        "fig6-xxl" => micro::fig6_xxl(scale),
-        "ablate-occupancy" => ablate::ablate_occupancy(),
-        "ablate-mtt" => ablate::ablate_mtt_capacity(),
-        "ablate-backoff" => ablate::ablate_backoff(),
-        "ablate-inline" => ablate::ablate_inline(),
-        "traffic-hashtable" => openloop::experiment("traffic-hashtable", scale),
-        "traffic-shuffle" => openloop::experiment("traffic-shuffle", scale),
-        "traffic-join" => openloop::experiment("traffic-join", scale),
-        "traffic-dlog" => openloop::experiment("traffic-dlog", scale),
-        "traffic-burst" => txnbench::burst_experiment(scale),
-        "traffic-series" => txnbench::series_experiment(scale),
-        "txn-contention" => txnbench::contention_experiment(scale),
-        "txn-fairness" => txnbench::fairness_experiment(scale),
-        other => panic!("unknown experiment id {other:?}; known: {ALL_IDS:?}"),
-    }
+/// Every experiment id, in registry (paper) order.
+pub fn experiment_ids() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|e| e.id).collect()
 }
 
 #[cfg(test)]
@@ -204,14 +210,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_ids_resolve() {
-        // Run the cheapest experiments end-to-end; just resolve the rest.
-        for id in ["table2"] {
-            let exps = run_experiment(id, Scale { paper: false });
-            assert!(!exps.is_empty());
-            for e in exps {
-                assert!(!e.render().is_empty());
-            }
+    fn registry_ids_are_unique_and_resolve() {
+        let mut ids = experiment_ids();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), EXPERIMENTS.len(), "duplicate experiment id");
+        assert!(experiment("nosuch").is_none());
+        // Run the cheapest experiment end to end.
+        let exps = (experiment("table2").unwrap().run)(Scale { paper: false });
+        assert!(!exps.is_empty());
+        for e in exps {
+            assert!(!e.render().is_empty());
         }
     }
 

@@ -9,60 +9,11 @@
 //! basic shuffle draws W203, the random sweeps draw W202, the NUMA
 //! matrix's worst cell draws W204).
 
-use apps::{
-    dlog, hashtable, join, shuffle, DlogConfig, HtConfig, HtVariant, JoinConfig, ShuffleConfig,
-    ShuffleVariant,
-};
+use crate::ExperimentSpec;
+use apps::{DlogConfig, HtConfig, HtVariant, JoinConfig, ShuffleConfig, ShuffleVariant};
 use remem::Strategy;
 use rnicsim::{DeviceCaps, MrId, QpNum, RKey, Sge, VerbKind, WorkRequest, WrId};
 use verbcheck::VerbProgram;
-
-/// Every experiment id the lint table covers — the mirror of
-/// [`crate::ALL_IDS`], maintained here so a new experiment id cannot be
-/// added without deciding its lint coverage (the drift test below fails
-/// otherwise).
-pub const ALL: &[&str] = &[
-    "fig1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "table1",
-    "fig6",
-    "fig8",
-    "table2",
-    "table3",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "extra-mr-scale",
-    "extra-qp-scale",
-    "extra-recovery",
-    "extra-reg-cost",
-    "extra-ycsb",
-    "fig6-xl",
-    "fig6-xxl",
-    "ablate-occupancy",
-    "ablate-mtt",
-    "ablate-backoff",
-    "ablate-inline",
-    "traffic-hashtable",
-    "traffic-shuffle",
-    "traffic-join",
-    "traffic-dlog",
-    "traffic-burst",
-    "traffic-series",
-    "txn-contention",
-    "txn-fairness",
-];
-
-/// Ids whose experiments post no verbs at all (their lint run is
-/// vacuously clean; everything else must produce at least one program).
-pub const NO_TRAFFIC: &[&str] = &["table2"];
 
 /// The deterministic page scramble the repro harness's random sweeps
 /// stand in for (Weyl-style multiplicative hash; no RNG in static code).
@@ -85,20 +36,28 @@ fn write(id: u64, src: Sge, remote_off: u64) -> WorkRequest {
     WorkRequest::write(id, src, RKey(0), remote_off)
 }
 
+// The `pub(crate)` functions below are the `lint` entries of
+// `crate::EXPERIMENTS`: each takes the experiment id and labels its
+// programs `<id>/<variant>`.
+
+fn named(id: &str, label: &str, p: VerbProgram) -> (String, VerbProgram) {
+    (format!("{id}/{label}"), p)
+}
+
 /// Fig 1: warm latency + windowed throughput of one verb — an in-bounds
 /// write and read per payload extreme, each polled.
-fn fig1_program() -> VerbProgram {
+pub(crate) fn fig1(id: &str) -> Vec<(String, VerbProgram)> {
     let mut p = two_machines(1 << 20, 1 << 20);
-    let mut id = 0;
+    let mut wr_id = 0;
     for payload in [8u64, 8192] {
-        p.post(QpNum(0), write(id, Sge::new(MrId(0), 0, payload), 0));
+        p.post(QpNum(0), write(wr_id, Sge::new(MrId(0), 0, payload), 0));
         p.poll(QpNum(0), 1);
-        id += 1;
-        p.post(QpNum(0), WorkRequest::read(id, Sge::new(MrId(0), 0, payload), RKey(0), 0));
+        wr_id += 1;
+        p.post(QpNum(0), WorkRequest::read(wr_id, Sge::new(MrId(0), 0, payload), RKey(0), 0));
         p.poll(QpNum(0), 1);
-        id += 1;
+        wr_id += 1;
     }
-    p
+    vec![named(id, "write-read", p)]
 }
 
 /// One `batched_write` cycle of a vector-IO strategy (Fig 3/4, Table I):
@@ -144,21 +103,19 @@ fn strategy_program(strategy: Strategy, batch: usize, payload: u64) -> VerbProgr
     p
 }
 
-fn strategy_programs(batch: usize, payload: u64) -> Vec<(String, VerbProgram)> {
+fn strategy_programs(id: &str, batch: usize, payload: u64) -> Vec<(String, VerbProgram)> {
     Strategy::ALL
         .iter()
         .map(|s| {
-            (
-                format!("{}-batch{batch}", s.label().to_lowercase()),
-                strategy_program(*s, batch, payload),
-            )
+            let label = format!("{}-batch{batch}", s.label().to_lowercase());
+            named(id, &label, strategy_program(*s, batch, payload))
         })
         .collect()
 }
 
 /// Fig 5: two threads sharing the NIC — one QP each, SP flushes into
 /// disjoint 64 KB slabs of the shared destination (no W101: no overlap).
-fn fig5_program() -> VerbProgram {
+pub(crate) fn fig5(id: &str) -> Vec<(String, VerbProgram)> {
     let mut p = VerbProgram::new();
     p.mr(1, MrId(0), 1, 1 << 22);
     for th in 0..2u64 {
@@ -167,7 +124,7 @@ fn fig5_program() -> VerbProgram {
         p.post(QpNum(th as u32), write(th, Sge::new(MrId(th as u32), 0, 128), th * (1 << 16)));
         p.poll(QpNum(th as u32), 1);
     }
-    p
+    vec![named(id, "two-threads", p)]
 }
 
 /// Fig 6: page-sized writes over a 2 GB region — sequentially, or at
@@ -281,7 +238,7 @@ fn atomics_program() -> VerbProgram {
 
 /// extra-qp-scale: four RC clients writing disjoint slots of one server
 /// region, plus a UD client using two-sided sends (no remote memory).
-fn qp_scale_program() -> VerbProgram {
+pub(crate) fn qp_scale(id: &str) -> Vec<(String, VerbProgram)> {
     let mut p = VerbProgram::new();
     p.mr(7, MrId(0), 1, 1 << 20);
     for cl in 0..4u64 {
@@ -303,14 +260,14 @@ fn qp_scale_program() -> VerbProgram {
         },
     );
     p.poll(QpNum(4), 1);
-    p
+    vec![named(id, "rc-and-ud", p)]
 }
 
 /// extra-mr-scale: ten 4 MB regions written round-robin. Each region
 /// individually fits the MTT cache, so the per-MR lint stays quiet even
 /// though the *combined* footprint is what the experiment measures —
 /// a scope limit recorded in DESIGN.md.
-fn mr_scale_program() -> VerbProgram {
+pub(crate) fn mr_scale(id: &str) -> Vec<(String, VerbProgram)> {
     let per_mr = 4u64 << 20;
     let mut p = VerbProgram::new();
     p.mr(0, MrId(0), 1, 4096);
@@ -324,21 +281,21 @@ fn mr_scale_program() -> VerbProgram {
         p.post(QpNum(0), WorkRequest::write(i, Sge::new(MrId(0), 0, 32), RKey(mr as u64), off));
         p.poll(QpNum(0), 1);
     }
-    p
+    vec![named(id, "round-robin", p)]
 }
 
 /// extra-reg-cost: a pooled 4 KB write, then the register-on-IO-path
 /// pattern (fresh MR, one write, deregister). Registration itself is a
 /// control-path cost the event list doesn't carry; both transfers are
 /// clean verbs.
-fn reg_cost_program() -> VerbProgram {
+pub(crate) fn reg_cost(id: &str) -> Vec<(String, VerbProgram)> {
     let mut p = two_machines(4096, 1 << 20);
     p.mr(0, MrId(1), 1, 4096); // the on-path registration
     p.post(QpNum(0), write(0, Sge::new(MrId(0), 0, 4096), 0));
     p.poll(QpNum(0), 1);
     p.post(QpNum(0), write(1, Sge::new(MrId(1), 0, 4096), 4096));
     p.poll(QpNum(0), 1);
-    p
+    vec![named(id, "pooled-vs-onpath", p)]
 }
 
 /// extra-recovery: replaying the distributed log — sequential batch
@@ -359,7 +316,7 @@ fn recovery_replay_program() -> VerbProgram {
 /// ablate-occupancy / ablate-mtt: the random 32 B write sweep those
 /// ablations re-measure under perturbed penalties — draws W202 by
 /// construction (that thrash is the mechanism being ablated).
-fn rand_write_program() -> VerbProgram {
+pub(crate) fn rand_write(id: &str) -> Vec<(String, VerbProgram)> {
     let region = 2u64 << 30;
     let mut p = two_machines(4096, region);
     for i in 0..16u64 {
@@ -367,158 +324,162 @@ fn rand_write_program() -> VerbProgram {
         p.post(QpNum(0), write(i, Sge::new(MrId(0), 0, 32), off));
         p.poll(QpNum(0), 1);
     }
-    p
+    vec![named(id, "rand-write", p)]
 }
 
 /// ablate-inline: repeated small writes to one slot (absorbed in place;
 /// kept under θ so the consolidation lint stays quiet).
-fn inline_program() -> VerbProgram {
+pub(crate) fn inline(id: &str) -> Vec<(String, VerbProgram)> {
     let mut p = two_machines(4096, 1 << 20);
     for i in 0..4u64 {
         p.post(QpNum(0), write(i, Sge::new(MrId(0), 0, 32), 0));
         p.poll(QpNum(0), 1);
     }
-    p
+    vec![named(id, "small-write", p)]
 }
 
-/// The verb programs behind one experiment id, labeled. Empty for
-/// experiments with no verb traffic (Table II is local memory only).
-/// Panics on unknown ids, like [`crate::run_experiment`].
-pub fn programs_for(id: &str) -> Vec<(String, VerbProgram)> {
-    let named = |label: &str, p: VerbProgram| (format!("{id}/{label}"), p);
-    match id {
-        "fig1" => vec![named("write-read", fig1_program())],
-        "fig3" => {
-            strategy_programs(16, 32).into_iter().map(|(l, p)| (format!("{id}/{l}"), p)).collect()
-        }
-        "fig4" => {
-            strategy_programs(32, 32).into_iter().map(|(l, p)| (format!("{id}/{l}"), p)).collect()
-        }
-        "fig5" => vec![named("two-threads", fig5_program())],
-        "table1" => {
-            strategy_programs(32, 32).into_iter().map(|(l, p)| (format!("{id}/{l}"), p)).collect()
-        }
-        "fig6" => vec![named("seq", fig6_program(true)), named("rand", fig6_program(false))],
-        // fig6-xl and fig6-xxl replicate the fig6 posting pattern across
-        // many machine pairs (fig6-xxl additionally fans each pair out
-        // over many QPs); per-pair verb programs are identical, so lint
-        // the pattern once.
-        "fig6-xl" | "fig6-xxl" => {
-            vec![named("seq", fig6_program(true)), named("rand", fig6_program(false))]
-        }
-        "fig8" => vec![
-            named("native", fig8_native_program()),
-            named("consolidated-theta16", fig8_consolidated_program()),
-        ],
-        "table2" => Vec::new(), // local inter-socket memory: no verbs
-        "table3" => vec![
-            named("best-placement", table3_program(true)),
-            named("worst-placement", table3_program(false)),
-        ],
-        "fig10" | "ablate-backoff" => vec![named("spinlock-sequencer", atomics_program())],
-        "fig12" | "fig13" => [
-            ("basic", HtVariant::Basic),
-            ("numa", HtVariant::Numa),
-            ("reorder16", HtVariant::Reorder { theta: 16 }),
-        ]
+pub(crate) fn doorbell16(id: &str) -> Vec<(String, VerbProgram)> {
+    strategy_programs(id, 16, 32)
+}
+
+pub(crate) fn doorbell32(id: &str) -> Vec<(String, VerbProgram)> {
+    strategy_programs(id, 32, 32)
+}
+
+/// fig6-xl and fig6-xxl replicate the fig6 posting pattern across many
+/// machine pairs (fig6-xxl additionally fans each pair out over many
+/// QPs); per-pair verb programs are identical, so all three lint the
+/// pattern once.
+pub(crate) fn fig6(id: &str) -> Vec<(String, VerbProgram)> {
+    vec![named(id, "seq", fig6_program(true)), named(id, "rand", fig6_program(false))]
+}
+
+pub(crate) fn fig8(id: &str) -> Vec<(String, VerbProgram)> {
+    vec![
+        named(id, "native", fig8_native_program()),
+        named(id, "consolidated-theta16", fig8_consolidated_program()),
+    ]
+}
+
+pub(crate) fn table3(id: &str) -> Vec<(String, VerbProgram)> {
+    vec![
+        named(id, "best-placement", table3_program(true)),
+        named(id, "worst-placement", table3_program(false)),
+    ]
+}
+
+pub(crate) fn atomics(id: &str) -> Vec<(String, VerbProgram)> {
+    vec![named(id, "spinlock-sequencer", atomics_program())]
+}
+
+pub(crate) fn hashtable(id: &str) -> Vec<(String, VerbProgram)> {
+    [
+        ("basic", HtVariant::Basic),
+        ("numa", HtVariant::Numa),
+        ("reorder16", HtVariant::Reorder { theta: 16 }),
+    ]
+    .into_iter()
+    .map(|(l, variant)| {
+        named(id, l, apps::hashtable::verb_program(&HtConfig { variant, ..Default::default() }))
+    })
+    .collect()
+}
+
+pub(crate) fn ycsb(id: &str) -> Vec<(String, VerbProgram)> {
+    [("numa", HtVariant::Numa), ("reorder16", HtVariant::Reorder { theta: 16 })]
         .into_iter()
         .map(|(l, variant)| {
-            named(l, hashtable::verb_program(&HtConfig { variant, ..Default::default() }))
+            let cfg = HtConfig { variant, write_fraction: 0.5, ..Default::default() };
+            named(id, l, apps::hashtable::verb_program(&cfg))
         })
-        .collect(),
-        "extra-ycsb" => {
-            [("numa", HtVariant::Numa), ("reorder16", HtVariant::Reorder { theta: 16 })]
-                .into_iter()
-                .map(|(l, variant)| {
-                    named(
-                        l,
-                        hashtable::verb_program(&HtConfig {
-                            variant,
-                            write_fraction: 0.5,
-                            ..Default::default()
-                        }),
-                    )
-                })
-                .collect()
-        }
-        "fig15" => [
-            ("basic", ShuffleVariant::Basic),
-            ("sgl16", ShuffleVariant::Sgl(16)),
-            ("sp16", ShuffleVariant::Sp(16)),
-        ]
+        .collect()
+}
+
+pub(crate) fn shuffle(id: &str) -> Vec<(String, VerbProgram)> {
+    [
+        ("basic", ShuffleVariant::Basic),
+        ("sgl16", ShuffleVariant::Sgl(16)),
+        ("sp16", ShuffleVariant::Sp(16)),
+    ]
+    .into_iter()
+    .map(|(l, variant)| {
+        named(id, l, apps::shuffle::verb_program(&ShuffleConfig { variant, ..Default::default() }))
+    })
+    .collect()
+}
+
+pub(crate) fn join(id: &str) -> Vec<(String, VerbProgram)> {
+    [("sgl", Strategy::Sgl), ("sp", Strategy::Sp)]
         .into_iter()
-        .map(|(l, variant)| {
-            named(l, shuffle::verb_program(&ShuffleConfig { variant, ..Default::default() }))
+        .map(|(l, strategy)| {
+            named(id, l, apps::join::verb_program(&JoinConfig { strategy, ..Default::default() }))
         })
-        .collect(),
-        "fig16" | "fig17" | "fig18" => [("sgl", Strategy::Sgl), ("sp", Strategy::Sp)]
-            .into_iter()
-            .map(|(l, strategy)| {
-                named(l, join::verb_program(&JoinConfig { strategy, ..Default::default() }))
+        .collect()
+}
+
+pub(crate) fn dlog(id: &str) -> Vec<(String, VerbProgram)> {
+    [1usize, 32]
+        .into_iter()
+        .map(|batch| {
+            let cfg = DlogConfig { batch, ..Default::default() };
+            named(id, &format!("batch{batch}"), apps::dlog::verb_program(&cfg))
+        })
+        .collect()
+}
+
+pub(crate) fn recovery(id: &str) -> Vec<(String, VerbProgram)> {
+    let append = DlogConfig { batch: 1, ..Default::default() };
+    vec![
+        named(id, "append", apps::dlog::verb_program(&append)),
+        named(id, "replay", recovery_replay_program()),
+    ]
+}
+
+/// The open-loop traffic experiments reuse the traffic crate's own verb
+/// programs, so static analysis sees exactly what the drivers post
+/// (per-variant posting shapes, sockets, and batch flushes).
+pub(crate) fn traffic_app(id: &str) -> Vec<(String, VerbProgram)> {
+    let app = crate::openloop::app_of(id);
+    vec![
+        named(id, "basic", traffic::verb_program(app, false)),
+        named(id, "optimized", traffic::verb_program(app, true)),
+    ]
+}
+
+/// Burstiness changes *when* verbs are posted, never *which*: the burst
+/// knee table posts exactly the app drivers' shapes, every app × variant.
+pub(crate) fn traffic_burst(id: &str) -> Vec<(String, VerbProgram)> {
+    traffic::AppKind::all()
+        .into_iter()
+        .flat_map(|app| {
+            [("basic", false), ("optimized", true)].into_iter().map(move |(l, optimized)| {
+                named(id, &format!("{}-{l}", app.name()), traffic::verb_program(app, optimized))
             })
-            .collect(),
-        "fig19" => [1usize, 32]
-            .into_iter()
-            .map(|batch| {
-                named(
-                    &format!("batch{batch}"),
-                    dlog::verb_program(&DlogConfig { batch, ..Default::default() }),
-                )
-            })
-            .collect(),
-        "extra-mr-scale" => vec![named("round-robin", mr_scale_program())],
-        "extra-qp-scale" => vec![named("rc-and-ud", qp_scale_program())],
-        "extra-recovery" => vec![
-            named("append", dlog::verb_program(&DlogConfig { batch: 1, ..Default::default() })),
-            named("replay", recovery_replay_program()),
-        ],
-        "extra-reg-cost" => vec![named("pooled-vs-onpath", reg_cost_program())],
-        "ablate-occupancy" | "ablate-mtt" => vec![named("rand-write", rand_write_program())],
-        "ablate-inline" => vec![named("small-write", inline_program())],
-        // The open-loop traffic experiments reuse the traffic crate's own
-        // verb programs, so static analysis sees exactly what the drivers
-        // post (per-variant posting shapes, sockets, and batch flushes).
-        "traffic-hashtable" | "traffic-shuffle" | "traffic-join" | "traffic-dlog" => {
-            let app = crate::openloop::app_of(id);
-            vec![
-                named("basic", traffic::verb_program(app, false)),
-                named("optimized", traffic::verb_program(app, true)),
-            ]
-        }
-        // Burstiness changes *when* verbs are posted, never *which*: the
-        // burst knee table and the windowed series post exactly the app
-        // drivers' shapes, so they lint the same programs.
-        "traffic-burst" => traffic::AppKind::all()
-            .into_iter()
-            .flat_map(|app| {
-                [("basic", false), ("optimized", true)].into_iter().map(move |(l, optimized)| {
-                    (format!("{id}/{}-{l}", app.name()), traffic::verb_program(app, optimized))
-                })
-            })
-            .collect(),
-        "traffic-series" => vec![
-            named("basic", traffic::verb_program(traffic::AppKind::Hashtable, false)),
-            named("optimized", traffic::verb_program(traffic::AppKind::Hashtable, true)),
-        ],
-        // The txn experiments post the transactional protocol's verb
-        // sequences (read/CAS-lock/validate/write/commit-unlock over the
-        // record layout) — the builders mirror the service's geometry.
-        "txn-contention" => vec![
-            named(
-                "optimistic",
-                txn::verb_program(txn::TxnProfile::Hashtable, txn::Concurrency::Optimistic),
-            ),
-            named(
-                "locked",
-                txn::verb_program(txn::TxnProfile::Hashtable, txn::Concurrency::Locked),
-            ),
-        ],
-        "txn-fairness" => vec![named(
-            "optimistic",
-            txn::verb_program(txn::TxnProfile::Hashtable, txn::Concurrency::Optimistic),
-        )],
-        other => panic!("unknown experiment id {other:?}; known: {:?}", crate::ALL_IDS),
-    }
+        })
+        .collect()
+}
+
+/// The windowed series drives the hashtable app's two variants.
+pub(crate) fn traffic_series(id: &str) -> Vec<(String, VerbProgram)> {
+    vec![
+        named(id, "basic", traffic::verb_program(traffic::AppKind::Hashtable, false)),
+        named(id, "optimized", traffic::verb_program(traffic::AppKind::Hashtable, true)),
+    ]
+}
+
+/// The txn experiments post the transactional protocol's verb sequences
+/// (read/CAS-lock/validate/write/commit-unlock over the record layout) —
+/// the builders mirror the service's geometry.
+pub(crate) fn txn_contention(id: &str) -> Vec<(String, VerbProgram)> {
+    [("optimistic", txn::Concurrency::Optimistic), ("locked", txn::Concurrency::Locked)]
+        .into_iter()
+        .map(|(l, mode)| named(id, l, txn::verb_program(txn::TxnProfile::Hashtable, mode)))
+        .collect()
+}
+
+pub(crate) fn txn_fairness(id: &str) -> Vec<(String, VerbProgram)> {
+    let mode = txn::Concurrency::Optimistic;
+    vec![named(id, "optimistic", txn::verb_program(txn::TxnProfile::Hashtable, mode))]
 }
 
 /// Outcome of linting a set of experiment ids.
@@ -533,9 +494,9 @@ pub struct LintReport {
     pub rendered: String,
 }
 
-/// Analyze every program of every id against the default device
+/// Analyze every program of every experiment against the default device
 /// capabilities (the geometry the testbed simulates).
-pub fn lint_ids(ids: &[String]) -> LintReport {
+pub fn lint_ids(ids: &[&ExperimentSpec]) -> LintReport {
     lint_ids_with_caps(ids, &DeviceCaps::default())
 }
 
@@ -578,13 +539,13 @@ pub fn parse_caps_file(text: &str) -> Result<DeviceCaps, String> {
 /// Analyze every program of every id against an explicit device
 /// geometry — `repro --lint --caps <profile|file>` and the profile
 /// sweep both land here.
-pub fn lint_ids_with_caps(ids: &[String], caps: &DeviceCaps) -> LintReport {
+pub fn lint_ids_with_caps(ids: &[&ExperimentSpec], caps: &DeviceCaps) -> LintReport {
     use std::fmt::Write as _;
     let mut report = LintReport { programs: 0, warnings: 0, errors: 0, rendered: String::new() };
-    for id in ids {
-        let programs = programs_for(id);
+    for spec in ids {
+        let programs = spec.programs();
         if programs.is_empty() {
-            let _ = writeln!(report.rendered, "{id}: no verb traffic");
+            let _ = writeln!(report.rendered, "{}: no verb traffic", spec.id);
             continue;
         }
         for (label, prog) in programs {
@@ -638,7 +599,7 @@ pub struct FixReport {
 /// applied fix claims result equivalence — replay both the original and
 /// the fixed program through the simulated testbed and compare memory
 /// digests byte for byte.
-pub fn fix_ids(ids: &[String]) -> FixReport {
+pub fn fix_ids(ids: &[&ExperimentSpec]) -> FixReport {
     use std::fmt::Write as _;
     let caps = DeviceCaps::default();
     let opts = verbcheck::LintOptions::default();
@@ -651,10 +612,10 @@ pub fn fix_ids(ids: &[String]) -> FixReport {
         errors: 0,
         rendered: String::new(),
     };
-    for id in ids {
-        let programs = programs_for(id);
+    for spec in ids {
+        let programs = spec.programs();
         if programs.is_empty() {
-            let _ = writeln!(report.rendered, "{id}: no verb traffic");
+            let _ = writeln!(report.rendered, "{}: no verb traffic", spec.id);
             continue;
         }
         for (label, prog) in programs {
@@ -719,18 +680,10 @@ mod tests {
     }
 
     #[test]
-    fn every_experiment_id_has_lint_coverage() {
-        for id in crate::ALL_IDS {
-            let programs = programs_for(id);
-            assert!(!programs.is_empty() || *id == "table2", "{id} has no lint program");
-        }
-    }
-
-    #[test]
     fn no_experiment_program_has_errors() {
         let caps = DeviceCaps::default();
-        for id in crate::ALL_IDS {
-            for (label, prog) in programs_for(id) {
+        for spec in crate::EXPERIMENTS {
+            for (label, prog) in spec.programs() {
                 let diags = analyze(&prog, &caps);
                 assert!(
                     !has_errors(&diags),
@@ -763,39 +716,29 @@ mod tests {
 
     #[test]
     fn lint_report_over_all_ids_is_error_free() {
-        let ids: Vec<String> = crate::ALL_IDS.iter().map(|s| s.to_string()).collect();
+        let ids: Vec<&ExperimentSpec> = crate::EXPERIMENTS.iter().collect();
         let report = lint_ids(&ids);
         assert_eq!(report.errors, 0, "{}", report.rendered);
         assert!(report.programs > 30, "expected broad coverage, got {}", report.programs);
         assert!(report.warnings > 0, "the anti-pattern demos should warn");
     }
 
+    fn labels(id: &str) -> Vec<String> {
+        crate::experiment(id).unwrap().programs().into_iter().map(|(l, _)| l).collect()
+    }
+
     #[test]
-    fn lint_table_mirrors_all_ids_exactly() {
-        // ALL is the lint table's self-declared coverage; it must track
-        // crate::ALL_IDS one-for-one so a new experiment id cannot land
-        // without lint coverage (or an explicit NO_TRAFFIC entry).
-        let table: std::collections::BTreeSet<&str> = ALL.iter().copied().collect();
-        let ids: std::collections::BTreeSet<&str> = crate::ALL_IDS.iter().copied().collect();
-        assert_eq!(table, ids, "bench::lint::ALL drifted from crate::ALL_IDS");
-        assert_eq!(ALL.len(), crate::ALL_IDS.len(), "duplicate id in the lint table");
-        for id in NO_TRAFFIC {
-            assert!(table.contains(id), "NO_TRAFFIC id {id:?} missing from ALL");
-            assert!(programs_for(id).is_empty(), "{id} claims no traffic but has programs");
+    fn registry_lint_entries_cover_their_experiments() {
+        // Every experiment posts verbs except table2 (local memory only),
+        // whose entry is an explicit empty list.
+        for spec in crate::EXPERIMENTS {
+            assert_eq!(spec.programs().is_empty(), spec.id == "table2", "{}", spec.id);
         }
-        for id in ALL {
-            if !NO_TRAFFIC.contains(id) {
-                assert!(!programs_for(id).is_empty(), "{id} has no lint program");
-            }
-        }
-        // Open-loop traffic and txn experiments post verbs by
-        // construction, so none of them may hide in NO_TRAFFIC. The
-        // per-app traffic ids must cover both variants (the basic and
-        // optimized drivers post different shapes — single ops vs
-        // batched flushes).
+        // The per-app traffic ids cover both variants: the basic and
+        // optimized drivers post different shapes (single ops vs batched
+        // flushes).
         for id in crate::openloop::TRAFFIC_IDS {
-            assert!(!NO_TRAFFIC.contains(id), "{id} posts verbs; it cannot be NO_TRAFFIC");
-            let labels: Vec<String> = programs_for(id).into_iter().map(|(l, _)| l).collect();
+            let labels = labels(id);
             for variant in ["basic", "optimized"] {
                 assert!(
                     labels.contains(&format!("{id}/{variant}")),
@@ -805,17 +748,10 @@ mod tests {
         }
         // The burst knee table spans every app × variant; its lint entry
         // must too.
-        let burst: Vec<String> =
-            programs_for("traffic-burst").into_iter().map(|(l, _)| l).collect();
+        let burst = labels("traffic-burst");
         assert_eq!(burst.len(), 8, "burst knees cover 4 apps x 2 variants (has {burst:?})");
-        // The txn ids must lint the transactional protocol's programs,
-        // and the contention experiment both concurrency modes.
-        for id in crate::txnbench::TXN_IDS {
-            assert!(!NO_TRAFFIC.contains(id), "{id} posts verbs; it cannot be NO_TRAFFIC");
-            assert!(!programs_for(id).is_empty(), "{id} has no lint program");
-        }
-        let contention: Vec<String> =
-            programs_for("txn-contention").into_iter().map(|(l, _)| l).collect();
+        // The contention experiment runs both concurrency modes.
+        let contention = labels("txn-contention");
         for mode in ["optimistic", "locked"] {
             assert!(
                 contention.contains(&format!("txn-contention/{mode}")),
@@ -867,7 +803,7 @@ mod tests {
         // Profiles dominate the calibrated baseline, so a program that
         // lints error-free on the default geometry stays error-free on
         // every profile — the property that makes `--caps sweep` a gate.
-        let ids: Vec<String> = crate::ALL_IDS.iter().map(|s| s.to_string()).collect();
+        let ids: Vec<&ExperimentSpec> = crate::EXPERIMENTS.iter().collect();
         for (name, caps) in rnicsim::PROFILES {
             let report = lint_ids_with_caps(&ids, caps);
             assert_eq!(report.errors, 0, "profile {name}: {}", report.rendered);
@@ -876,7 +812,7 @@ mod tests {
 
     #[test]
     fn fix_report_reaches_zero_w2xx_over_all_ids() {
-        let ids: Vec<String> = crate::ALL_IDS.iter().map(|s| s.to_string()).collect();
+        let ids: Vec<&ExperimentSpec> = crate::EXPERIMENTS.iter().collect();
         let report = fix_ids(&ids);
         assert_eq!(report.errors, 0, "{}", report.rendered);
         assert_eq!(report.remaining_w2xx, 0, "{}", report.rendered);

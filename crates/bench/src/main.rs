@@ -9,7 +9,7 @@
 //! repro all --serial        # one worker (same output, more wall-clock)
 //! repro all --shards 4      # in-simulation shards (default: auto; 1 = serial engine)
 //! repro all --bench-json BENCH_engine.json   # machine-readable timings
-//! repro --check-determinism # prove serial/parallel/unbatched/sharded runs agree
+//! repro --check-determinism # prove serial/parallel/sharded runs agree
 //! repro --bench-compare BENCH_engine.json   # diff a fresh run vs baseline
 //! repro --lint all          # static verb analysis instead of running
 //!
@@ -17,13 +17,13 @@
 //!                           # open-loop capacity knees (p99 <= SLO) per app
 //! repro --traffic shuffle --load 0.25:4:6    # fixed offered-load sweep
 //! repro --traffic hashtable --load 0.1:0.3:2 --check-determinism
-//!                           # 4-way byte-identity of the traffic engine
+//!                           # 3-way byte-identity of the traffic engine
 //!
 //! repro --txn all --load knee --apps-json BENCH_txn.json
 //!                           # txn-service capacity knees per profile x mode
 //! repro --txn hashtable --mode locked --load 0.05:0.2:4   # fixed sweep
 //! repro --txn all --load 0.05 --check-determinism
-//!                           # 4-way byte-identity of the txn service
+//!                           # 3-way byte-identity of the txn service
 //! ```
 //!
 //! Experiments are independent deterministic simulations, so the runner
@@ -33,7 +33,7 @@
 //! With `--out`, every series experiment also gets a gnuplot script:
 //! `cd results && gnuplot *.gp` renders the figures to SVG.
 
-use bench::{par_map, run_experiment, set_parallelism, Experiment, Scale, ALL_IDS, MICRO_IDS};
+use bench::{experiment_ids, par_map, set_parallelism, Experiment, ExperimentSpec, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +82,7 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 /// One experiment group's outcome: what to print/save plus how much work
 /// the simulation did (for the machine-readable timing report).
 struct GroupRun {
-    id: String,
+    id: &'static str,
     experiments: Vec<Experiment>,
     wall_ms: f64,
     sim_ops: u64,
@@ -93,14 +93,14 @@ struct GroupRun {
     peak_alloc_bytes: u64,
 }
 
-fn run_group(id: String, scale: Scale) -> GroupRun {
+fn run_group(spec: &'static ExperimentSpec, scale: Scale) -> GroupRun {
     let ops_before = simcore::opcount::current();
     let start = Instant::now();
-    let experiments = run_experiment(&id, scale);
+    let experiments = (spec.run)(scale);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let sim_ops = simcore::opcount::current() - ops_before;
     let peak_alloc_bytes = HEAP_PEAK.load(Ordering::Relaxed);
-    GroupRun { id, experiments, wall_ms, sim_ops, peak_alloc_bytes }
+    GroupRun { id: spec.id, experiments, wall_ms, sim_ops, peak_alloc_bytes }
 }
 
 /// Render every experiment of a run list to one string (the unit of the
@@ -120,10 +120,9 @@ fn render_all(runs: &[GroupRun]) -> String {
 /// wall-clock and simulated-operation throughput plus the total. Schema
 /// v3 adds `peak_alloc_bytes` — the process heap high-water mark by the
 /// end of each experiment (and overall), so memory-footprint regressions
-/// are tracked alongside wall-clock ones. `parse_baseline`'s field
-/// scanner ignores unknown keys, so v1/v2 baselines stay comparable.
+/// are tracked alongside wall-clock ones.
 fn bench_json(runs: &[GroupRun], total_wall_ms: f64, jobs: usize, shards: usize) -> String {
-    let mut s = String::from("{\n  \"schema\": \"bench-engine-v3\",\n");
+    let mut s = format!("{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n");
     s.push_str(&format!("  \"jobs\": {jobs},\n"));
     s.push_str(&format!("  \"shards\": {shards},\n"));
     s.push_str("  \"experiments\": [\n");
@@ -164,46 +163,35 @@ fn determinism_failed(kind: &str, a: &str, b: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Run a small experiment set four ways — serially, in parallel across
-/// experiments, with the batched device pipeline disabled, and with the
-/// in-simulation sharded engine — and require byte-identical rendered
-/// output from all four. Exits non-zero on divergence.
+/// Run a small experiment set three ways — serially, in parallel across
+/// experiments, and with the in-simulation sharded engine — and require
+/// byte-identical rendered output from all three. Exits non-zero on
+/// divergence.
 fn check_determinism(scale: Scale) {
     // txn-contention rides along so the transactional service (service
     // scheduler, abort accounting, tenant telemetry) is inside the same
-    // 4-way byte-identity gate as the core engine. fig6-xxl's notes carry
-    // the fleet memory digest (placement + content of every materialized
+    // byte-identity gate as the core engine. fig6-xxl's notes carry the
+    // fleet memory digest (placement + content of every materialized
     // sparse page), so the gate pins the memory subsystem too: an elision
-    // or materialization decision that differs between the batched,
-    // unbatched, parallel, or sharded paths diverges the rendered output.
-    let ids = ["table1", "table2", "fig8", "fig6-xxl", "txn-contention"];
+    // or materialization decision that differs between the serial,
+    // parallel, or sharded paths diverges the rendered output.
+    let specs: Vec<&'static ExperimentSpec> =
+        bench::EXPERIMENTS.iter().filter(|e| e.determinism).collect();
     set_parallelism(Some(1));
     cluster::set_shards_default(Some(1));
-    let serial: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();
+    let serial: Vec<GroupRun> = specs.iter().map(|spec| run_group(spec, scale)).collect();
     set_parallelism(None);
-    let parallel =
-        par_map(ids.iter().map(|id| id.to_string()).collect(), |id| run_group(id, scale));
+    let parallel = par_map(specs.clone(), |spec| run_group(spec, scale));
     let (a, b) = (render_all(&serial), render_all(&parallel));
     if a != b {
         determinism_failed("serial vs parallel", &a, &b);
     }
-    // Third leg: the batched device pipeline (translation memos, bulk
-    // data effects) against the unbatched reference path. Exactness of
-    // every fast path means the rendered experiments must not move by a
-    // single byte.
-    cluster::set_batched_default(false);
-    set_parallelism(Some(1));
-    let unbatched: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();
-    cluster::set_batched_default(true);
-    let c = render_all(&unbatched);
-    if a != c {
-        determinism_failed("batched vs unbatched pipeline", &a, &c);
-    }
-    // Fourth leg: the conservative sharded engine. fig8 runs six machine
+    // Third leg: the conservative sharded engine. fig8 runs six machine
     // pairs concurrently on two shards; the windowed barrier protocol
     // must reproduce the serial interleaving exactly.
+    set_parallelism(Some(1));
     cluster::set_shards_default(Some(2));
-    let sharded: Vec<GroupRun> = ids.iter().map(|id| run_group(id.to_string(), scale)).collect();
+    let sharded: Vec<GroupRun> = specs.iter().map(|spec| run_group(spec, scale)).collect();
     cluster::set_shards_default(Some(1));
     let d = render_all(&sharded);
     if a != d {
@@ -211,8 +199,8 @@ fn check_determinism(scale: Scale) {
     }
     set_parallelism(None);
     println!(
-        "determinism check passed: serial, parallel, unbatched-pipeline, and sharded (--shards 2) \
-         output identical ({} bytes)",
+        "determinism check passed: serial, parallel, and sharded (--shards 2) output identical \
+         ({} bytes)",
         a.len()
     );
 }
@@ -278,73 +266,28 @@ fn parse_modes(spec: &str) -> Option<Vec<txn::Concurrency>> {
     }
 }
 
-/// The traffic engine's own four-way byte-identity gate: the rendered
-/// sweep table (quantiles *and* histogram digests) must be identical
-/// serially, in parallel across points, with the batched device pipeline
-/// disabled, and on the sharded engine (`shards = 2`). Exits non-zero on
-/// divergence.
-fn check_traffic_determinism(apps: &[traffic::AppKind], loads: &[f64], scale: Scale) {
-    use bench::openloop::sweep_table;
+/// The sweep modes' own three-way byte-identity gate: the rendered sweep
+/// table (quantiles, abort accounting, *and* histogram digests) built by
+/// `table(shards)` must be identical serially, in parallel across points,
+/// and on the sharded engine (`shards = 2`). `kind` names the sweep
+/// (`traffic` or `txn`). Exits non-zero on divergence.
+fn check_sweep_determinism(kind: &str, table: impl Fn(usize) -> String) {
     set_parallelism(Some(1));
-    let serial = sweep_table(apps, loads, scale, 1);
+    let serial = table(1);
     set_parallelism(None);
-    let parallel = sweep_table(apps, loads, scale, 1);
+    let parallel = table(1);
     if serial != parallel {
-        determinism_failed("traffic serial vs parallel", &serial, &parallel);
+        determinism_failed(&format!("{kind} serial vs parallel"), &serial, &parallel);
     }
-    cluster::set_batched_default(false);
     set_parallelism(Some(1));
-    let unbatched = sweep_table(apps, loads, scale, 1);
-    cluster::set_batched_default(true);
-    if serial != unbatched {
-        determinism_failed("traffic batched vs unbatched pipeline", &serial, &unbatched);
-    }
-    let sharded = sweep_table(apps, loads, scale, 2);
+    let sharded = table(2);
     set_parallelism(None);
     if serial != sharded {
-        determinism_failed("traffic serial vs sharded (shards=2)", &serial, &sharded);
+        determinism_failed(&format!("{kind} serial vs sharded (shards=2)"), &serial, &sharded);
     }
     println!(
-        "traffic determinism check passed: serial, parallel, unbatched-pipeline, and sharded \
-         (shards=2) sweep tables identical ({} bytes)",
-        serial.len()
-    );
-}
-
-/// The txn service's own four-way byte-identity gate: the rendered txn
-/// sweep table (quantiles, abort accounting, *and* digests) must be
-/// identical serially, in parallel across points, with the batched
-/// device pipeline disabled, and on the sharded engine (`shards = 2`).
-/// Exits non-zero on divergence.
-fn check_txn_determinism(
-    profiles: &[txn::TxnProfile],
-    modes: &[txn::Concurrency],
-    loads: &[f64],
-    scale: Scale,
-) {
-    use bench::txnbench::txn_sweep_table;
-    set_parallelism(Some(1));
-    let serial = txn_sweep_table(profiles, modes, loads, scale, 1);
-    set_parallelism(None);
-    let parallel = txn_sweep_table(profiles, modes, loads, scale, 1);
-    if serial != parallel {
-        determinism_failed("txn serial vs parallel", &serial, &parallel);
-    }
-    cluster::set_batched_default(false);
-    set_parallelism(Some(1));
-    let unbatched = txn_sweep_table(profiles, modes, loads, scale, 1);
-    cluster::set_batched_default(true);
-    if serial != unbatched {
-        determinism_failed("txn batched vs unbatched pipeline", &serial, &unbatched);
-    }
-    let sharded = txn_sweep_table(profiles, modes, loads, scale, 2);
-    set_parallelism(None);
-    if serial != sharded {
-        determinism_failed("txn serial vs sharded (shards=2)", &serial, &sharded);
-    }
-    println!(
-        "txn determinism check passed: serial, parallel, unbatched-pipeline, and sharded \
-         (shards=2) sweep tables identical ({} bytes)",
+        "{kind} determinism check passed: serial, parallel, and sharded (shards=2) sweep tables \
+         identical ({} bytes)",
         serial.len()
     );
 }
@@ -410,19 +353,22 @@ fn run_traffic_mode(
 
 /// One experiment row parsed back out of a committed bench JSON.
 struct BaselineRow {
-    id: String,
+    spec: &'static ExperimentSpec,
     wall_ms: f64,
     sim_ops: u64,
-    /// `None` for v1/v2 baselines recorded before the field existed.
-    peak_alloc_bytes: Option<u64>,
+    peak_alloc_bytes: u64,
 }
 
-/// Parse the hand-rolled bench-engine JSON (the inverse of
+/// The only bench JSON schema `--bench-compare` accepts.
+const BENCH_SCHEMA: &str = "bench-engine-v3";
+
+/// Parse the hand-rolled `bench-engine-v3` JSON (the inverse of
 /// [`bench_json`]; still no serde in the offline container). Only the
-/// per-experiment rows are needed; the field scanner skips keys it does
-/// not know and tolerates keys that are absent, so every schema version
-/// (v1 through v3) parses.
-fn parse_baseline(text: &str) -> Vec<BaselineRow> {
+/// per-experiment rows are needed, and every one must carry a known `id`
+/// and parsable `wall_ms`, `sim_ops` and `peak_alloc_bytes`: a skipped
+/// row would escape the exact `sim_ops` gate, so a malformed one is an
+/// error naming its line.
+fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
     fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         let start = line.find(&format!("\"{key}\": "))? + key.len() + 4;
         let rest = &line[start..];
@@ -430,71 +376,90 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
         let end = rest.find([',', '"', '}']).unwrap_or(rest.len());
         Some(&rest[..end])
     }
-    text.lines()
-        .filter(|l| l.trim_start().starts_with("{\"id\""))
-        .filter_map(|l| {
-            Some(BaselineRow {
-                id: field(l, "id")?.to_string(),
-                wall_ms: field(l, "wall_ms")?.parse().ok()?,
-                sim_ops: field(l, "sim_ops")?.parse().ok()?,
-                peak_alloc_bytes: field(l, "peak_alloc_bytes").and_then(|v| v.parse().ok()),
-            })
-        })
-        .collect()
+    let schema = text.lines().find_map(|l| field(l, "schema"));
+    if schema != Some(BENCH_SCHEMA) {
+        return Err(format!("schema is {schema:?}, expected {BENCH_SCHEMA:?}"));
+    }
+    let mut lines = text.lines().enumerate();
+    if !lines.any(|(_, l)| l.contains("\"experiments\": [")) {
+        return Err("no \"experiments\" array".into());
+    }
+    let mut rows = Vec::new();
+    for (i, line) in lines {
+        if line.trim_start().starts_with(']') {
+            return if rows.is_empty() { Err("no experiment rows".into()) } else { Ok(rows) };
+        }
+        let bad = |key: &str| format!("line {}: missing or unparsable {key:?}", i + 1);
+        let id = field(line, "id").ok_or_else(|| bad("id"))?;
+        let spec = bench::experiment(id)
+            .ok_or_else(|| format!("line {}: unknown experiment id {id:?}", i + 1))?;
+        rows.push(BaselineRow {
+            spec,
+            wall_ms: field(line, "wall_ms")
+                .and_then(|v| v.parse().ok())
+                .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+                .ok_or_else(|| bad("wall_ms"))?,
+            sim_ops: field(line, "sim_ops")
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| bad("sim_ops"))?,
+            peak_alloc_bytes: field(line, "peak_alloc_bytes")
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| bad("peak_alloc_bytes"))?,
+        });
+    }
+    Err("unterminated \"experiments\" array".into())
 }
 
 /// Re-run every experiment recorded in `baseline` and diff: `sim_ops`
 /// must match **exactly** (simulated work is deterministic; any drift is
 /// a behaviour change), wall-clock and peak-heap regressions beyond 25 %
 /// are flagged as warnings (timing is hardware-dependent and the peak is
-/// a process-wide high-water mark, so they don't fail the run). Peaks
-/// are only compared when the baseline recorded them (bench-engine-v3+).
+/// a process-wide high-water mark, so they don't fail the run). A
+/// baseline that does not parse exits 2.
 fn bench_compare(path: &PathBuf, scale: Scale) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read baseline {}: {e}", path.display());
         std::process::exit(2);
     });
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        eprintln!("no experiment rows found in {}", path.display());
+    let baseline = parse_baseline(&text).unwrap_or_else(|e| {
+        eprintln!("bad baseline {}: {e}", path.display());
         std::process::exit(2);
-    }
-    let runs = par_map(baseline.iter().map(|r| r.id.clone()).collect(), |id| run_group(id, scale));
+    });
+    let runs = par_map(baseline.iter().map(|r| r.spec).collect(), |spec| run_group(spec, scale));
     let mut drift = 0usize;
     let mut slower = 0usize;
     for (base, fresh) in baseline.iter().zip(&runs) {
         if base.sim_ops != fresh.sim_ops {
             eprintln!(
                 "DRIFT {}: sim_ops {} (baseline) != {} (fresh)",
-                base.id, base.sim_ops, fresh.sim_ops
+                fresh.id, base.sim_ops, fresh.sim_ops
             );
             drift += 1;
         }
         if base.wall_ms > 0.0 && fresh.wall_ms > base.wall_ms * 1.25 {
             eprintln!(
                 "warning {}: wall {:.1}ms is {:.0}% over baseline {:.1}ms",
-                base.id,
+                fresh.id,
                 fresh.wall_ms,
                 (fresh.wall_ms / base.wall_ms - 1.0) * 100.0,
                 base.wall_ms
             );
             slower += 1;
         }
-        if let Some(base_peak) = base.peak_alloc_bytes {
-            if base_peak > 0 && fresh.peak_alloc_bytes as f64 > base_peak as f64 * 1.25 {
-                eprintln!(
-                    "warning {}: peak heap {:.1} MiB is {:.0}% over baseline {:.1} MiB",
-                    base.id,
-                    fresh.peak_alloc_bytes as f64 / (1u64 << 20) as f64,
-                    (fresh.peak_alloc_bytes as f64 / base_peak as f64 - 1.0) * 100.0,
-                    base_peak as f64 / (1u64 << 20) as f64
-                );
-                slower += 1;
-            }
+        let base_peak = base.peak_alloc_bytes;
+        if base_peak > 0 && fresh.peak_alloc_bytes as f64 > base_peak as f64 * 1.25 {
+            eprintln!(
+                "warning {}: peak heap {:.1} MiB is {:.0}% over baseline {:.1} MiB",
+                fresh.id,
+                fresh.peak_alloc_bytes as f64 / (1u64 << 20) as f64,
+                (fresh.peak_alloc_bytes as f64 / base_peak as f64 - 1.0) * 100.0,
+                base_peak as f64 / (1u64 << 20) as f64
+            );
+            slower += 1;
         }
         println!(
             "{:10} sim_ops {:>12} {} wall {:>8.1}ms (baseline {:.1}ms)",
-            base.id,
+            fresh.id,
             fresh.sim_ops,
             if base.sim_ops == fresh.sim_ops { "==" } else { "!=" },
             fresh.wall_ms,
@@ -523,7 +488,7 @@ fn bench_compare(path: &PathBuf, scale: Scale) {
 /// too (the fixpoint gate). `--caps` switches the device geometry: a
 /// built-in profile name, a `key = value` file, or `sweep` to lint every
 /// profile in turn.
-fn run_lint(ids: &[String], do_fix: bool, caps_spec: Option<&str>) {
+fn run_lint(ids: &[&ExperimentSpec], do_fix: bool, caps_spec: Option<&str>) {
     if do_fix && caps_spec.is_some() {
         eprintln!("--fix works against the calibrated default geometry; drop --caps");
         std::process::exit(2);
@@ -588,7 +553,7 @@ fn run_lint(ids: &[String], do_fix: bool, caps_spec: Option<&str>) {
 }
 
 fn main() {
-    let mut ids: Vec<String> = Vec::new();
+    let mut ids: Vec<&'static ExperimentSpec> = Vec::new();
     let mut scale = Scale { paper: false };
     let mut out_dir: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
@@ -717,8 +682,8 @@ fn main() {
                     std::process::exit(2);
                 })));
             }
-            "all" => ids.extend(ALL_IDS.iter().map(|s| s.to_string())),
-            "micro" => ids.extend(MICRO_IDS.iter().map(|s| s.to_string())),
+            "all" => ids.extend(bench::EXPERIMENTS),
+            "micro" => ids.extend(bench::EXPERIMENTS.iter().filter(|e| e.micro)),
             "--help" | "-h" => {
                 println!(
                     "usage: repro [all | micro | <id>...] [--paper-scale] [--out DIR] \
@@ -728,7 +693,7 @@ fn main() {
                      [--traffic APP|all [--load knee|MOPS|a:b:n] [--slo US] [--apps-json PATH]] \
                      [--txn PROFILE|all [--mode optimistic|locked|both] [--load ...]]"
                 );
-                println!("ids: {ALL_IDS:?}");
+                println!("ids: {:?}", experiment_ids());
                 println!(
                     "traffic apps: {:?}; --load knee (default) finds each variant's max load \
                      with p99 <= SLO, a:b:n sweeps a fixed grid",
@@ -746,7 +711,10 @@ fn main() {
                 println!("--fix applies each W2xx finding's machine fix and re-lints to fixpoint");
                 return;
             }
-            other => ids.push(other.to_string()),
+            other => ids.push(bench::experiment(other).unwrap_or_else(|| {
+                eprintln!("unknown experiment id {other:?}; known: {:?}", experiment_ids());
+                std::process::exit(2);
+            })),
         }
     }
     if let Some(req) = shards_req {
@@ -776,7 +744,9 @@ fn main() {
                 LoadSpec::Loads(l) => l.clone(),
                 LoadSpec::Knee => vec![0.25, 1.0],
             };
-            check_traffic_determinism(apps, &loads, scale);
+            check_sweep_determinism("traffic", |shards| {
+                bench::openloop::sweep_table(apps, &loads, scale, shards)
+            });
             return;
         }
         run_traffic_mode(apps, &load, slo_us, apps_json_path.as_ref(), scale);
@@ -795,7 +765,9 @@ fn main() {
                 LoadSpec::Loads(l) => l.clone(),
                 LoadSpec::Knee => vec![0.05],
             };
-            check_txn_determinism(profiles, &txn_modes, &loads, scale);
+            check_sweep_determinism("txn", |shards| {
+                bench::txnbench::txn_sweep_table(profiles, &txn_modes, &loads, scale, shards)
+            });
             return;
         }
         run_txn_mode(profiles, &txn_modes, &load, slo_us, apps_json_path.as_ref(), scale);
@@ -817,7 +789,7 @@ fn main() {
         }
     }
     if ids.is_empty() {
-        eprintln!("nothing to do; try `repro all` (ids: {ALL_IDS:?})");
+        eprintln!("nothing to do; try `repro all` (ids: {:?})", experiment_ids());
         std::process::exit(2);
     }
     if do_lint {
@@ -834,7 +806,7 @@ fn main() {
 
     let total_start = Instant::now();
     let jobs = bench::parallelism(ids.len());
-    let runs = par_map(ids, |id| run_group(id, scale));
+    let runs = par_map(ids, |spec| run_group(spec, scale));
     let total_wall_ms = total_start.elapsed().as_secs_f64() * 1e3;
 
     for r in &runs {
@@ -856,5 +828,106 @@ fn main() {
         std::fs::write(path, bench_json(&runs, total_wall_ms, jobs, cluster::shards_default()))
             .expect("write bench json");
         eprintln!("[wrote {}]", path.display());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ROW: &str = r#"{"id": "fig1", "wall_ms": 23.539, "sim_ops": 78052, "sim_ops_per_sec": 3315789, "peak_alloc_bytes": 82907, "shards": 1}"#;
+
+    /// A v3 document around the given experiment rows.
+    fn doc(schema: &str, rows: &[&str]) -> String {
+        let rows: String = rows.iter().map(|r| format!("    {r},\n")).collect();
+        format!(
+            "{{\n  \"schema\": \"{schema}\",\n  \"jobs\": 1,\n  \"experiments\": [\n{rows}  ],\n  \
+             \"total_sim_ops\": 1\n}}\n"
+        )
+    }
+
+    fn error(text: &str) -> String {
+        parse_baseline(text).err().expect("baseline should be rejected")
+    }
+
+    #[test]
+    fn baseline_v3_rows_parse() {
+        let second = ROW.replace("fig1", "table2").replace("78052", "0");
+        let rows = parse_baseline(&doc(BENCH_SCHEMA, &[ROW, &second])).expect("valid baseline");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].spec.id, "fig1");
+        assert_eq!(
+            (rows[0].wall_ms, rows[0].sim_ops, rows[0].peak_alloc_bytes),
+            (23.539, 78052, 82907)
+        );
+        assert_eq!((rows[1].spec.id, rows[1].sim_ops), ("table2", 0));
+    }
+
+    #[test]
+    fn bench_json_round_trips_through_the_parser() {
+        let run = GroupRun {
+            id: "fig8",
+            experiments: Vec::new(),
+            wall_ms: 1.5,
+            sim_ops: 7,
+            peak_alloc_bytes: 9,
+        };
+        let rows = parse_baseline(&bench_json(&[run], 1.5, 1, 1)).expect("own output parses");
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].spec.id, rows[0].wall_ms), ("fig8", 1.5));
+        assert_eq!((rows[0].sim_ops, rows[0].peak_alloc_bytes), (7, 9));
+    }
+
+    #[test]
+    fn the_committed_baseline_parses() {
+        let text = include_str!("../../../BENCH_engine.json");
+        assert!(!parse_baseline(text).expect("committed baseline").is_empty());
+    }
+
+    #[test]
+    fn baseline_schema_must_be_v3() {
+        for schema in ["bench-engine-v1", "bench-engine-v2", "bench-engine-v4"] {
+            assert!(error(&doc(schema, &[ROW])).contains("schema"), "{schema}");
+        }
+        assert!(
+            error(&doc(BENCH_SCHEMA, &[ROW]).replace("\"schema\"", "\"kind\"")).contains("schema")
+        );
+    }
+
+    #[test]
+    fn baseline_rows_need_every_field() {
+        let id = ROW.replace(r#""id": "fig1", "#, "");
+        assert!(error(&doc(BENCH_SCHEMA, &[&id])).contains("\"id\""));
+        for key in ["wall_ms", "sim_ops", "peak_alloc_bytes"] {
+            let missing = ROW.replace(&format!("\"{key}\": "), &format!("\"no_{key}\": "));
+            let msg = error(&doc(BENCH_SCHEMA, &[ROW, &missing]));
+            assert!(msg.contains(&format!("{key:?}")) && msg.contains("line 6"), "{key}: {msg}");
+        }
+    }
+
+    #[test]
+    fn baseline_rows_need_parsable_values() {
+        for (from, to, key) in [
+            ("23.539", "fast", "wall_ms"),
+            ("23.539", "NaN", "wall_ms"),
+            ("23.539", "-1.0", "wall_ms"),
+            ("78052", "78k", "sim_ops"),
+            ("78052", "-5", "sim_ops"),
+            ("82907", "1.5", "peak_alloc_bytes"),
+        ] {
+            let msg = error(&doc(BENCH_SCHEMA, &[&ROW.replace(from, to)]));
+            assert!(msg.contains(&format!("{key:?}")), "{key}={to}: {msg}");
+        }
+        let unknown = ROW.replace("fig1", "nosuch");
+        assert!(error(&doc(BENCH_SCHEMA, &[&unknown])).contains("unknown experiment id"));
+    }
+
+    #[test]
+    fn baseline_needs_rows() {
+        assert!(error(&doc(BENCH_SCHEMA, &[])).contains("no experiment rows"));
+        assert!(error("{\n  \"schema\": \"bench-engine-v3\"\n}\n").contains("experiments"));
+        let open =
+            format!("{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"experiments\": [\n    {ROW}\n");
+        assert!(error(&open).contains("unterminated"));
     }
 }

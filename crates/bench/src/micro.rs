@@ -39,8 +39,8 @@ fn verb_wr(kind: &VerbKind, src: MrId, dst: MrId, payload: u64, id: u64) -> Work
 /// Warm latency of one verb at `payload` bytes.
 fn verb_latency(kind: &VerbKind, payload: u64) -> SimTime {
     let (mut tb, src, dst, conn) = pair(1 << 20, false);
-    let warm = tb.post_one(SimTime::ZERO, conn, verb_wr(kind, src, dst, payload, 0));
-    let c = tb.post_one(warm.at, conn, verb_wr(kind, src, dst, payload, 1));
+    let warm = tb.post_one_ref(SimTime::ZERO, conn, &verb_wr(kind, src, dst, payload, 0));
+    let c = tb.post_one_ref(warm.at, conn, &verb_wr(kind, src, dst, payload, 1));
     c.at - warm.at
 }
 
@@ -518,7 +518,7 @@ impl Client for ThetaClient {
             self.t += SimTime::from_ns(100); // flush WR post (MMIO)
             self.absorb_flush(done);
         }
-        if self.i % 64 == 0 {
+        if self.i.is_multiple_of(64) {
             for done in self.buf.poll_leases(tb, self.t) {
                 self.absorb_flush(done);
             }
@@ -557,10 +557,10 @@ pub fn fig8() -> Vec<Experiment> {
     let mut native_cl = ClosedLoop::new(16, ops, move |tb: &mut Testbed, now, i| {
         let block = z.scrambled_key(&mut rng);
         let off = block * 1024 + rng.gen_range(32) * 32;
-        tb.post_one(
+        tb.post_one_ref(
             now,
             native_conn,
-            WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), off),
+            &WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), off),
         )
         .at
     });
@@ -851,14 +851,14 @@ pub fn table3() -> Vec<Experiment> {
             Endpoint { machine: 0, port: 1, core_socket: if own_core { 1 } else { 0 } },
             Endpoint::affine(1, 1),
         );
-        let warm = tb.post_one(SimTime::ZERO, conn, verb_wr(kind, src, dst, 64, 0));
-        let c = tb.post_one(warm.at, conn, verb_wr(kind, src, dst, 64, 1));
+        let warm = tb.post_one_ref(SimTime::ZERO, conn, &verb_wr(kind, src, dst, 64, 0));
+        let c = tb.post_one_ref(warm.at, conn, &verb_wr(kind, src, dst, 64, 1));
         let lat = c.at - warm.at;
         // Window-4 closed-loop throughput.
         let kind2 = kind.clone();
         let ops = 600u64;
         let mut cl = ClosedLoop::new(4, ops, move |tb: &mut Testbed, now, i| {
-            tb.post_one(now, conn, verb_wr(&kind2, src, dst, 64, i)).at
+            tb.post_one_ref(now, conn, &verb_wr(&kind2, src, dst, 64, i)).at
         });
         {
             let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut cl)];
@@ -932,10 +932,10 @@ pub fn extra_mr_scale() -> Vec<Experiment> {
         let mut cl = ClosedLoop::new(8, ops, move |tb: &mut Testbed, now, i| {
             let mr = regions[(i % mrs as u64) as usize];
             let off = rng.gen_range(per_mr / 32) * 32;
-            tb.post_one(
+            tb.post_one_ref(
                 now,
                 conn,
-                WorkRequest::write(i, Sge::new(src, 0, 32), RKey(mr.0 as u64), off),
+                &WorkRequest::write(i, Sge::new(src, 0, 32), RKey(mr.0 as u64), off),
             )
             .at
         });
@@ -1054,25 +1054,25 @@ pub fn extra_reg_cost() -> Vec<Experiment> {
     let dst = tb.register_unbacked(1, 1, 1 << 20);
     let pool = tb.register(0, 1, 4096);
     let conn = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
-    let warm = tb.post_one(
+    let warm = tb.post_one_ref(
         SimTime::ZERO,
         conn,
-        WorkRequest::write(0, Sge::new(pool, 0, 4096), RKey(dst.0 as u64), 0),
+        &WorkRequest::write(0, Sge::new(pool, 0, 4096), RKey(dst.0 as u64), 0),
     );
     // Pre-registered: just the transfer.
-    let pre = tb.post_one(
+    let pre = tb.post_one_ref(
         warm.at,
         conn,
-        WorkRequest::write(1, Sge::new(pool, 0, 4096), RKey(dst.0 as u64), 0),
+        &WorkRequest::write(1, Sge::new(pool, 0, 4096), RKey(dst.0 as u64), 0),
     );
     let pre_lat = pre.at - warm.at;
     // On-path: register, transfer, deregister (the naive pattern).
     let t0 = pre.at;
     let (buf, ready) = tb.register_timed(t0, 0, 1, 4096);
-    let c = tb.post_one(
+    let c = tb.post_one_ref(
         ready,
         conn,
-        WorkRequest::write(2, Sge::new(buf, 0, 4096), RKey(dst.0 as u64), 0),
+        &WorkRequest::write(2, Sge::new(buf, 0, 4096), RKey(dst.0 as u64), 0),
     );
     let done = tb.deregister_timed(c.at, 0, buf);
     let onpath_lat = done - t0;

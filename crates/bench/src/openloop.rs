@@ -20,7 +20,8 @@ pub const TRAFFIC_IDS: &[&str] =
 
 /// The app behind a `traffic-*` experiment id.
 ///
-/// Panics on non-traffic ids, like [`crate::run_experiment`].
+/// Panics on non-traffic ids: the registry ([`crate::EXPERIMENTS`]) only
+/// routes the [`TRAFFIC_IDS`] here.
 pub fn app_of(id: &str) -> AppKind {
     let app = id.strip_prefix("traffic-").and_then(AppKind::parse);
     app.unwrap_or_else(|| panic!("unknown traffic experiment id {id:?}; known: {TRAFFIC_IDS:?}"))
@@ -214,17 +215,8 @@ pub fn sweep_table(apps: &[AppKind], loads: &[f64], scale: Scale, shards: usize)
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:<9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}  {}",
-        "app",
-        "variant",
-        "offered",
-        "achieved",
-        "ops",
-        "mean_us",
-        "p50_us",
-        "p99_us",
-        "p999_us",
-        "digest"
+        "{:<10} {:<9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8}  digest",
+        "app", "variant", "offered", "achieved", "ops", "mean_us", "p50_us", "p99_us", "p999_us",
     );
     for ((app, optimized, _), p) in items.iter().zip(&pts) {
         let _ = writeln!(

@@ -30,9 +30,6 @@ use traffic::{
 };
 use txn::{Concurrency, Scheduler, TxnProfile};
 
-/// The transactional experiment ids.
-pub const TXN_IDS: &[&str] = &["txn-contention", "txn-fairness"];
-
 /// Aggressor tenant's arrival-rate multiplier in the fairness table.
 pub const AGGRESSOR: f64 = 8.0;
 
@@ -391,7 +388,7 @@ pub fn txn_sweep_table(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<10} {:<10} {:>9} {:>9} {:>7} {:>8} {:>8} {:>8} {:>8} {:>7}  {}",
+        "{:<10} {:<10} {:>9} {:>9} {:>7} {:>8} {:>8} {:>8} {:>8} {:>7}  digest",
         "profile",
         "mode",
         "offered",
@@ -402,7 +399,6 @@ pub fn txn_sweep_table(
         "commits",
         "aborts",
         "casrty",
-        "digest"
     );
     for ((profile, mode, _), r) in items.iter().zip(&reports) {
         let _ = writeln!(

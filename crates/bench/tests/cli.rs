@@ -1,0 +1,38 @@
+//! Command-line error paths of `repro`: bad input exits 2 with a message
+//! instead of panicking.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("spawn repro")
+}
+
+fn assert_usage_error(args: &[&str], expect: &str) {
+    let out = repro(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(expect), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn unknown_experiment_ids_exit_2_listing_the_known_ones() {
+    for args in [&["nosuch"][..], &["table2", "nosuch"], &["--lint", "nosuch"]] {
+        assert_usage_error(args, "unknown experiment id \"nosuch\"; known: [\"fig1\"");
+    }
+}
+
+#[test]
+fn malformed_bench_baselines_exit_2() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("v2.json");
+    std::fs::write(
+        &path,
+        "{\n  \"schema\": \"bench-engine-v2\",\n  \"experiments\": [\n    \
+         {\"id\": \"table2\", \"wall_ms\": 0.1, \"sim_ops\": 0, \"shards\": 1}\n  ]\n}\n",
+    )
+    .unwrap();
+    assert_usage_error(&["--bench-compare", path.to_str().unwrap()], "schema");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -63,8 +63,8 @@ fn dynamic_race_pairs(prog: &VerbProgram) -> BTreeSet<Pair> {
 fn static_analysis_soundly_overapproximates_the_oracle_on_every_lint_program() {
     let mut programs = 0usize;
     let mut dynamic_total = 0usize;
-    for id in bench::lint::ALL {
-        for (label, prog) in bench::lint::programs_for(id) {
+    for spec in bench::EXPERIMENTS {
+        for (label, prog) in spec.programs() {
             programs += 1;
             let stat = static_race_pairs(&prog);
             let out = cluster::replay_program(&prog);

@@ -2,13 +2,14 @@
 //! runner: rendered output must match the committed goldens byte for
 //! byte, and a parallel run must be indistinguishable from a serial one.
 
-use bench::{par_map, run_experiment, set_parallelism, Scale};
+use bench::{experiment, par_map, set_parallelism, Scale};
 
 const QUICK: Scale = Scale { paper: false };
 
 /// Exactly what `repro <id>` prints to stdout for one experiment group.
 fn rendered(id: &str) -> String {
-    run_experiment(id, QUICK).iter().map(|e| format!("{}\n", e.render())).collect()
+    let run = experiment(id).expect("registered id").run;
+    run(QUICK).iter().map(|e| format!("{}\n", e.render())).collect()
 }
 
 #[test]

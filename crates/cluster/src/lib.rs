@@ -20,15 +20,15 @@
 //!
 //! // First op is cold (QP-context and MTT cache misses) — warm up, then
 //! // measure, the way the paper's averaged runs do.
-//! let warm = tb.post_one(
+//! let warm = tb.post_one_ref(
 //!     SimTime::ZERO,
 //!     conn,
-//!     WorkRequest::write(1, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
+//!     &WorkRequest::write(1, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
 //! );
-//! let cqe = tb.post_one(
+//! let cqe = tb.post_one_ref(
 //!     warm.at,
 //!     conn,
-//!     WorkRequest::write(2, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
+//!     &WorkRequest::write(2, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
 //! );
 //! // Fig 1: small RDMA Write completes in ~1.16 us.
 //! assert!(((cqe.at - warm.at).as_us() - 1.16).abs() < 0.1);
@@ -54,7 +54,4 @@ pub use shard::{
     run_clients_sharded, run_clients_windowed, set_shards_default, shard_plan, shards_default,
     Pinned,
 };
-pub use testbed::{
-    batched_default, set_batched_default, ConnId, Endpoint, Machine, Testbed, Transport,
-    UD_GRH_BYTES,
-};
+pub use testbed::{ConnId, Endpoint, Machine, Testbed, Transport, UD_GRH_BYTES};

@@ -121,16 +121,13 @@ pub fn replay_program(prog: &VerbProgram) -> ReplayOutcome {
 
     let mut t = SimTime::ZERO;
     let mut fifos: BTreeMap<u32, VecDeque<Completion>> = BTreeMap::new();
-    let mut cqes: Vec<Completion> = Vec::new();
     let mut failures = 0usize;
     let mut completions = 0usize;
     for ev in prog.events() {
         match ev {
             Event::Post { qp, wr } => {
                 let conn = conn_of[&qp.0];
-                cqes.clear();
-                tb.post_into(t, conn, std::slice::from_ref(wr), &mut cqes);
-                for c in &cqes {
+                for c in tb.post(t, conn, std::slice::from_ref(wr)) {
                     completions += 1;
                     if c.status != CqeStatus::Success {
                         failures += 1;

@@ -279,7 +279,7 @@ mod tests {
                             signaled: true,
                         },
                     };
-                    tb.post_one(now, conn, wr).at
+                    tb.post_one_ref(now, conn, &wr).at
                 })
             })
             .collect();
@@ -362,11 +362,11 @@ mod tests {
                     ClosedLoop::new(4, 16, move |tb: &mut Testbed, now: SimTime, i: u64| {
                         // Alternate connections; strided 64-byte writes
                         // overlap their neighbours on the other conn.
-                        let conn = if i % 2 == 0 { c0 } else { c1 };
+                        let conn = if i.is_multiple_of(2) { c0 } else { c1 };
                         let off = (i % 8) * 32;
                         let wr =
                             WorkRequest::write(i, Sge::new(src, off, 64), RKey(dst.0 as u64), off);
-                        tb.post_one(now, conn, wr).at
+                        tb.post_one_ref(now, conn, &wr).at
                     })
                 })
                 .collect();
@@ -416,7 +416,7 @@ mod tests {
             fn step(&mut self, now: SimTime, tb: &mut Testbed) -> Step {
                 let wr =
                     WorkRequest::write(0, Sge::new(self.src, 0, 8), RKey(self.dst.0 as u64), 0);
-                tb.post_one(now, self.conn, wr);
+                tb.post_one_ref(now, self.conn, &wr);
                 Step::Done
             }
         }
@@ -445,10 +445,10 @@ mod tests {
         let mk_loop = |src: rnicsim::MrId, dst: rnicsim::MrId, conn: crate::ConnId| {
             ClosedLoop::new(2, 40, move |tb: &mut Testbed, now: SimTime, i: u64| {
                 let off = (i % 64) * 8;
-                tb.post_one(
+                tb.post_one_ref(
                     now,
                     conn,
-                    WorkRequest::write(i, Sge::new(src, off, 16), RKey(dst.0 as u64), off),
+                    &WorkRequest::write(i, Sge::new(src, off, 16), RKey(dst.0 as u64), off),
                 )
                 .at
             })

@@ -13,25 +13,6 @@ use crate::memory::MemoryPool;
 use crate::oracle::{OracleState, Race};
 use rnicsim::{Completion, CqeStatus, MrId, QpNum, Rnic, VerbKind, WorkRequest};
 use simcore::{KServer, SimTime};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for [`Testbed::set_batched`], sampled at
-/// [`Testbed::new`]. The batched device pipeline (per-QP translation
-/// memos, bulk single-`memcpy` data effects) is semantically exact, so it
-/// is on by default; `repro --check-determinism` flips this off for a
-/// reference run and asserts byte-identical experiment output.
-static BATCHED_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Set the process-wide default for the batched device pipeline. Only
-/// affects testbeds constructed afterwards.
-pub fn set_batched_default(on: bool) {
-    BATCHED_DEFAULT.store(on, Ordering::SeqCst);
-}
-
-/// Current process-wide default for the batched device pipeline.
-pub fn batched_default() -> bool {
-    BATCHED_DEFAULT.load(Ordering::SeqCst)
-}
 
 /// One side of a connection: which machine, which NIC port, and which
 /// socket the issuing (or serving) core runs on.
@@ -118,17 +99,15 @@ pub struct Testbed {
     pub cfg: ClusterConfig,
     machines: Vec<Machine>,
     conns: Vec<Connection>,
-    /// Reused CQE buffer backing `post_one`/`post_one_ref` — one
-    /// allocation for the testbed's lifetime, not one per verb.
+    /// Reused CQE buffer behind [`Testbed::post`]'s returned slice — one
+    /// allocation for the testbed's lifetime, not one per doorbell.
     cqe_scratch: Vec<Completion>,
-    /// Reused gather/scatter staging buffer for data effects.
+    /// Reused staging buffer for data effects whose span straddles a
+    /// memory-chunk seam (see [`MemoryPool::read_view`]).
     data_scratch: Vec<u8>,
     /// When set, every doorbell batch is statically checked before it is
     /// simulated; error-severity findings panic (see [`Testbed::set_checked`]).
     checked: bool,
-    /// Whether posts use the batched device pipeline (see
-    /// [`Testbed::set_batched`]).
-    batched: bool,
     /// When this testbed is a shard of a larger cluster
     /// (`split_shards`), `resident[m]` says whether machine `m`'s real
     /// state lives here. Verbs touching a non-resident machine panic:
@@ -148,19 +127,8 @@ impl Testbed {
             cqe_scratch: Vec::new(),
             data_scratch: Vec::new(),
             checked: false,
-            batched: batched_default(),
             resident: None,
         }
-    }
-
-    /// Enable or disable the *batched device pipeline* for this testbed:
-    /// per-QP translation memos on MTT touches and bulk (single-`memcpy`)
-    /// data effects that skip staging entirely for unbacked regions. Both
-    /// are exact — completions, data effects, and MTT/QPC hit/miss
-    /// counters are byte-identical either way; the unbatched path exists
-    /// as the reference the determinism check compares against.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched = on;
     }
 
     /// Immutable access to a machine.
@@ -325,26 +293,15 @@ impl Testbed {
 
     /// Post a doorbell batch of work requests on `conn` at time `now`
     /// (client → server direction). Returns a completion per *signaled*
-    /// WR, in posting order. Data effects are applied to simulated memory.
+    /// WR, in posting order; data effects are applied to simulated memory.
     ///
-    /// Hot paths should prefer [`Testbed::post_into`] (reused output
-    /// buffer) or [`Testbed::post_one_ref`] (no output buffer at all).
-    pub fn post(&mut self, now: SimTime, conn: ConnId, wrs: &[WorkRequest]) -> Vec<Completion> {
-        let mut completions = Vec::new();
-        self.post_into(now, conn, wrs, &mut completions);
-        completions
-    }
-
-    /// Like [`Testbed::post`], but appends completions to a caller-owned
-    /// buffer — the post→complete path performs no heap allocation for
-    /// SGLs of ≤ [`rnicsim::INLINE_SGES`] entries.
-    pub fn post_into(
-        &mut self,
-        now: SimTime,
-        conn: ConnId,
-        wrs: &[WorkRequest],
-        completions: &mut Vec<Completion>,
-    ) {
+    /// The completion train lives in the testbed's reused CQE buffer, so
+    /// the slice is valid until the next post and the post→complete path
+    /// performs no heap allocation for SGLs of ≤ [`rnicsim::INLINE_SGES`]
+    /// entries. The device pipeline is batched: MTT touches go through
+    /// each QP's translation memo ([`Rnic::mtt_touch_qp`]) and data
+    /// effects move bytes straight between regions with no staging copy.
+    pub fn post(&mut self, now: SimTime, conn: ConnId, wrs: &[WorkRequest]) -> &[Completion] {
         assert!(!wrs.is_empty(), "empty doorbell batch");
         if self.checked {
             let diags = self.check_batch(conn, wrs);
@@ -355,7 +312,6 @@ impl Testbed {
         }
         simcore::opcount::add(wrs.len() as u64);
         let checked = self.checked;
-        let batched = self.batched;
         let c = &self.conns[conn.0 as usize];
         let (client, server) = (c.client, c.server);
         if let Some(res) = &self.resident {
@@ -375,7 +331,9 @@ impl Testbed {
                 (t, k) => panic!("verb {k:?} is not supported on {t:?} (§II-A)"),
             }
         }
-        let mut data = std::mem::take(&mut self.data_scratch);
+        let completions = &mut self.cqe_scratch;
+        completions.clear();
+        let data = &mut self.data_scratch;
         let cfg = &self.cfg;
         let client_port_socket = cfg.port_socket(client.port);
         let server_port_socket = cfg.port_socket(server.port);
@@ -419,17 +377,11 @@ impl Testbed {
             // Requester pipeline: QPC reloads and MTT-miss fills stall the
             // WQE (occupancy); the rest of each miss's latency overlaps
             // with later WQEs and is added after the pipeline stage.
+            // Translations go through the QP's memo, so a run of touches
+            // to one page skips the MTT LRU.
             let mut misses = 0u64;
-            if batched {
-                // Batched pipeline: translations go through the QP's memo,
-                // so a run of touches to one page skips the MTT LRU.
-                for sge in &wr.sgl {
-                    misses += cm.rnic.mtt_touch_qp(client_qpn, sge.mr, sge.offset, sge.len);
-                }
-            } else {
-                for sge in &wr.sgl {
-                    misses += cm.rnic.mtt_touch(sge.mr, sge.offset, sge.len);
-                }
+            for sge in &wr.sgl {
+                misses += cm.rnic.mtt_touch_qp(client_qpn, sge.mr, sge.offset, sge.len);
             }
             let stall = cm.rnic.qpc_touch(client_qpn) + cfg.rnic.mtt_miss_occupancy * misses;
             let miss_lat = (cfg.rnic.mtt_miss_penalty - cfg.rnic.mtt_miss_occupancy) * misses;
@@ -446,11 +398,7 @@ impl Testbed {
             let mut r_miss_lat = SimTime::ZERO;
             let remote_region_socket = wr.remote.map(|(rkey, off)| {
                 let mr = MrId(rkey.0 as u32);
-                let r_misses = if batched {
-                    sm.rnic.mtt_touch_qp(server_qpn, mr, off, payload)
-                } else {
-                    sm.rnic.mtt_touch(mr, off, payload)
-                };
+                let r_misses = sm.rnic.mtt_touch_qp(server_qpn, mr, off, payload);
                 r_stall += cfg.rnic.mtt_miss_occupancy * r_misses;
                 r_miss_lat = (cfg.rnic.mtt_miss_penalty - cfg.rnic.mtt_miss_occupancy) * r_misses;
                 sm.mem.region(mr).expect("validated").socket
@@ -491,18 +439,11 @@ impl Testbed {
                     if remote_region_socket.is_some_and(|s| s != server_port_socket) {
                         placed += cfg.numa.remote_write_cross;
                     }
-                    // Data effect (Send carries no remote address).
+                    // Data effect (Send carries no remote address): gather
+                    // straight into the remote region — or skip entirely
+                    // when the write is discarded (unbacked target).
                     if let (VerbKind::Write, Some((rkey, off))) = (&wr.kind, wr.remote) {
-                        if batched {
-                            // Bulk path: gather straight into the remote
-                            // region — or skip entirely when the write is
-                            // discarded (unbacked benchmark target).
-                            write_effect(cm, sm, wr, MrId(rkey.0 as u32), off, &mut data);
-                        } else {
-                            data.clear();
-                            gather_bytes_into(cm, wr, &mut data);
-                            sm.mem.write(MrId(rkey.0 as u32), off, &data);
-                        }
+                        write_effect(cm, sm, wr, MrId(rkey.0 as u32), off, data);
                     }
                     match transport {
                         // RC: the ACK round trip defines completion.
@@ -537,17 +478,10 @@ impl Testbed {
                     }) {
                         landed += cfg.numa.local_buffer_cross;
                     }
-                    // Data effect.
+                    // Data effect: scatter straight from the remote region
+                    // into the local SGL, no staging copy.
                     if let Some((rkey, off)) = wr.remote {
-                        if batched {
-                            // Bulk path: scatter straight from the remote
-                            // region into the local SGL, no staging copy.
-                            read_effect(cm, sm, wr, MrId(rkey.0 as u32), off, &mut data);
-                        } else {
-                            data.clear();
-                            sm.mem.read_into(MrId(rkey.0 as u32), off, payload, &mut data);
-                            scatter_bytes(cm, wr, &data);
-                        }
+                        read_effect(cm, sm, wr, MrId(rkey.0 as u32), off, data);
                     }
                     (landed, 0)
                 }
@@ -616,45 +550,14 @@ impl Testbed {
                 });
             }
         }
-        self.data_scratch = data;
+        &self.cqe_scratch
     }
 
-    /// Convenience: post one signaled WR and return its completion.
-    pub fn post_one(&mut self, now: SimTime, conn: ConnId, wr: WorkRequest) -> Completion {
-        let mut wr = wr;
-        wr.signaled = true;
-        self.post_one_ref(now, conn, &wr)
-    }
-
-    /// Post one already-signaled WR by reference — lets hot loops reuse a
-    /// template request without moving or cloning it. The internal CQE
-    /// buffer is reused across calls, so nothing allocates.
+    /// Post one signaled WR by reference and return its completion — lets
+    /// hot loops reuse a template request without moving or cloning it.
     pub fn post_one_ref(&mut self, now: SimTime, conn: ConnId, wr: &WorkRequest) -> Completion {
         assert!(wr.signaled, "post_one_ref requires a signaled WR");
-        let mut cqes = std::mem::take(&mut self.cqe_scratch);
-        cqes.clear();
-        self.post_into(now, conn, std::slice::from_ref(wr), &mut cqes);
-        let cqe = cqes[0];
-        self.cqe_scratch = cqes;
-        cqe
-    }
-
-    /// Post a doorbell batch and return the completion train through the
-    /// testbed's reused CQE buffer — the batched counterpart of
-    /// [`Testbed::post_one_ref`]: one coalesced completion slice per
-    /// doorbell, no allocation per batch. The slice is valid until the
-    /// next post through this testbed.
-    pub fn post_scratch(
-        &mut self,
-        now: SimTime,
-        conn: ConnId,
-        wrs: &[WorkRequest],
-    ) -> &[Completion] {
-        let mut cqes = std::mem::take(&mut self.cqe_scratch);
-        cqes.clear();
-        self.post_into(now, conn, wrs, &mut cqes);
-        self.cqe_scratch = cqes;
-        &self.cqe_scratch
+        self.post(now, conn, std::slice::from_ref(wr))[0]
     }
 
     /// A two-sided RPC round trip (channel semantics, Send/Recv): the
@@ -745,7 +648,6 @@ impl Testbed {
                 cqe_scratch: Vec::new(),
                 data_scratch: Vec::new(),
                 checked: self.checked,
-                batched: self.batched,
                 resident: Some(owner.iter().map(|&o| o == s).collect()),
             })
             .collect()
@@ -808,7 +710,7 @@ fn husk_machine(cfg: &ClusterConfig) -> Machine {
 }
 
 /// Disjoint mutable borrows of two machines — a free function (rather
-/// than a method) so `post_into` can hold `&self.cfg` alongside it.
+/// than a method) so `post` can hold `&self.cfg` alongside it.
 fn pair_of(machines: &mut [Machine], a: usize, b: usize) -> (&mut Machine, &mut Machine) {
     assert_ne!(a, b);
     if a < b {
@@ -853,16 +755,16 @@ fn validate(cm: &Machine, sm: &Machine, wr: &WorkRequest) -> Option<CqeStatus> {
     }
 }
 
-/// Batched-pipeline data effect of a Write: move each local SGE straight
-/// into the remote span. Every SGE view is a borrowed single-chunk slice
-/// in the common case (`scratch` is only touched when an SGE straddles a
-/// chunk seam), and the destination writes go through
+/// Data effect of a Write: move each local SGE straight into the remote
+/// span. Every SGE view is a borrowed single-chunk slice in the common
+/// case (`scratch` is only touched when an SGE straddles a chunk seam),
+/// and the destination writes go through
 /// [`MemoryPool::write`]/[`MemoryPool::write_zeros`] so sparse-page
 /// materialization (including zero-write elision) is decided by exactly
-/// the same rules as the unbatched `gather_bytes_into` + `write` path —
-/// byte-identical *and* residency-identical. An unbacked destination
-/// discards the write, so the gather is skipped entirely; an unbacked
-/// source SGE contributes zeros.
+/// the same rules as a staged gather-then-write — byte-identical *and*
+/// residency-identical (the test module's staged reference pins this).
+/// An unbacked destination discards the write, so the gather is skipped
+/// entirely; an unbacked source SGE contributes zeros.
 fn write_effect(
     cm: &Machine,
     sm: &mut Machine,
@@ -884,12 +786,12 @@ fn write_effect(
     }
 }
 
-/// Batched-pipeline data effect of a Read: scatter the remote span
-/// straight into the local SGL (`scratch` is only touched when the span
-/// straddles a chunk seam). An unbacked remote source reads as zeros;
-/// unbacked local SGEs discard their share; destination writes share the
-/// sparse materialization rules with the unbatched `read_into` +
-/// `scatter_bytes` path, so both are byte- and residency-identical.
+/// Data effect of a Read: scatter the remote span straight into the
+/// local SGL (`scratch` is only touched when the span straddles a chunk
+/// seam). An unbacked remote source reads as zeros; unbacked local SGEs
+/// discard their share; destination writes share the sparse
+/// materialization rules with a staged read-then-scatter, so both are
+/// byte- and residency-identical.
 fn read_effect(
     cm: &mut Machine,
     sm: &Machine,
@@ -914,22 +816,6 @@ fn read_effect(
     }
 }
 
-fn gather_bytes_into(m: &Machine, wr: &WorkRequest, out: &mut Vec<u8>) {
-    out.reserve(wr.payload_bytes() as usize);
-    for sge in &wr.sgl {
-        m.mem.read_into(sge.mr, sge.offset, sge.len, out);
-    }
-}
-
-fn scatter_bytes(m: &mut Machine, wr: &WorkRequest, data: &[u8]) {
-    let mut cursor = 0usize;
-    for sge in &wr.sgl {
-        let end = cursor + sge.len as usize;
-        m.mem.write(sge.mr, sge.offset, &data[cursor..end]);
-        cursor = end;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -951,10 +837,10 @@ mod tests {
     fn write_moves_real_bytes() {
         let (mut tb, src, dst, conn) = setup();
         tb.machine_mut(0).mem.write(src, 100, b"payload!");
-        let cqe = tb.post_one(
+        let cqe = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(1, Sge::new(src, 100, 8), rkey(dst), 5000),
+            &WorkRequest::write(1, Sge::new(src, 100, 8), rkey(dst), 5000),
         );
         assert_eq!(cqe.status, CqeStatus::Success);
         assert_eq!(tb.machine(1).mem.read(dst, 5000, 8), b"payload!");
@@ -964,10 +850,10 @@ mod tests {
     fn read_moves_real_bytes_back() {
         let (mut tb, src, dst, conn) = setup();
         tb.machine_mut(1).mem.write(dst, 40, b"remote");
-        let cqe = tb.post_one(
+        let cqe = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::read(1, Sge::new(src, 0, 6), rkey(dst), 40),
+            &WorkRequest::read(1, Sge::new(src, 0, 6), rkey(dst), 40),
         );
         assert_eq!(cqe.status, CqeStatus::Success);
         assert_eq!(tb.machine(0).mem.read(src, 0, 6), b"remote");
@@ -986,7 +872,7 @@ mod tests {
             remote: Some((rkey(dst), 0)),
             signaled: true,
         };
-        let cqe = tb.post_one(SimTime::ZERO, conn, wr);
+        let cqe = tb.post_one_ref(SimTime::ZERO, conn, &wr);
         assert_eq!(cqe.status, CqeStatus::Success);
         assert_eq!(tb.machine(1).mem.read(dst, 0, 6), b"ABCDEF");
     }
@@ -1003,11 +889,11 @@ mod tests {
             signaled: true,
         };
         // Mismatch: no swap, old value returned.
-        let c1 = tb.post_one(SimTime::ZERO, conn, mk(1, 9, 42));
+        let c1 = tb.post_one_ref(SimTime::ZERO, conn, &mk(1, 9, 42));
         assert_eq!(c1.old_value, 7);
         assert_eq!(tb.machine(1).mem.load_u64(dst, 0), 7);
         // Match: swap happens.
-        let c2 = tb.post_one(c1.at, conn, mk(2, 7, 42));
+        let c2 = tb.post_one_ref(c1.at, conn, &mk(2, 7, 42));
         assert_eq!(c2.old_value, 7);
         assert_eq!(tb.machine(1).mem.load_u64(dst, 0), 42);
     }
@@ -1024,7 +910,7 @@ mod tests {
                 remote: Some((rkey(dst), 64)),
                 signaled: true,
             };
-            let c = tb.post_one(t, conn, wr);
+            let c = tb.post_one_ref(t, conn, &wr);
             assert_eq!(c.old_value, i * 3);
             t = c.at;
         }
@@ -1034,10 +920,10 @@ mod tests {
     #[test]
     fn out_of_bounds_remote_yields_error_cqe_and_no_write() {
         let (mut tb, src, dst, conn) = setup();
-        let cqe = tb.post_one(
+        let cqe = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(1, Sge::new(src, 0, 64), rkey(dst), (1 << 20) - 10),
+            &WorkRequest::write(1, Sge::new(src, 0, 64), rkey(dst), (1 << 20) - 10),
         );
         assert_eq!(cqe.status, CqeStatus::RemoteAccessError);
     }
@@ -1045,10 +931,10 @@ mod tests {
     #[test]
     fn bad_local_sge_yields_protection_error() {
         let (mut tb, _src, dst, conn) = setup();
-        let cqe = tb.post_one(
+        let cqe = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(1, Sge::new(MrId(404), 0, 8), rkey(dst), 0),
+            &WorkRequest::write(1, Sge::new(MrId(404), 0, 8), rkey(dst), 0),
         );
         assert_eq!(cqe.status, CqeStatus::LocalProtectionError);
     }
@@ -1066,12 +952,12 @@ mod tests {
         };
         // Offsets 1..7 all fault; the target word is untouched.
         for off in 1..8u64 {
-            let cqe = tb.post_one(SimTime::ZERO, conn, mk(off, off));
+            let cqe = tb.post_one_ref(SimTime::ZERO, conn, &mk(off, off));
             assert_eq!(cqe.status, CqeStatus::MisalignedAtomic, "offset {off}");
         }
         assert_eq!(tb.machine(1).mem.load_u64(dst, 0), 55);
         // Aligned offsets succeed.
-        let ok = tb.post_one(SimTime::ZERO, conn, mk(99, 0));
+        let ok = tb.post_one_ref(SimTime::ZERO, conn, &mk(99, 0));
         assert_eq!(ok.status, CqeStatus::Success);
         assert_eq!(tb.machine(1).mem.load_u64(dst, 0), 56);
     }
@@ -1080,10 +966,10 @@ mod tests {
     fn checked_mode_accepts_clean_batches() {
         let (mut tb, src, dst, conn) = setup();
         tb.set_checked(true);
-        let cqe = tb.post_one(
+        let cqe = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(1, Sge::new(src, 0, 64), rkey(dst), 0),
+            &WorkRequest::write(1, Sge::new(src, 0, 64), rkey(dst), 0),
         );
         assert_eq!(cqe.status, CqeStatus::Success);
     }
@@ -1093,10 +979,10 @@ mod tests {
     fn checked_mode_panics_on_out_of_bounds_batches() {
         let (mut tb, src, dst, conn) = setup();
         tb.set_checked(true);
-        tb.post_one(
+        tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(1, Sge::new(src, 0, 64), rkey(dst), (1 << 20) - 10),
+            &WorkRequest::write(1, Sge::new(src, 0, 64), rkey(dst), (1 << 20) - 10),
         );
     }
 
@@ -1139,7 +1025,7 @@ mod tests {
             remote: Some((rkey(big), 0)),
             signaled: true,
         };
-        assert_eq!(tb.post_one(SimTime::ZERO, conn, wr).status, CqeStatus::RemoteAccessError);
+        assert_eq!(tb.post_one_ref(SimTime::ZERO, conn, &wr).status, CqeStatus::RemoteAccessError);
     }
 
     #[test]
@@ -1149,7 +1035,7 @@ mod tests {
         let (mut tb, src, dst, conn) = setup();
         let mk = |id, off| WorkRequest::write(id, Sge::new(src, 0, 32), rkey(dst), off);
         // Warm caches.
-        let warm = tb.post_one(SimTime::ZERO, conn, mk(0, 0));
+        let warm = tb.post_one_ref(SimTime::ZERO, conn, &mk(0, 0));
         let t0 = warm.at;
         let cqes = tb.post(t0, conn, &[mk(1, 0), mk(2, 64)]);
         assert_eq!(cqes.len(), 2);
@@ -1157,9 +1043,9 @@ mod tests {
         // Fresh but warmed testbed for the serialized comparison.
         let (mut tb2, src2, dst2, conn2) = setup();
         let mk2 = |id, off| WorkRequest::write(id, Sge::new(src2, 0, 32), rkey(dst2), off);
-        let warm2 = tb2.post_one(SimTime::ZERO, conn2, mk2(0, 0));
-        let c1 = tb2.post_one(warm2.at, conn2, mk2(1, 0));
-        let c2 = tb2.post_one(c1.at, conn2, mk2(2, 64));
+        let warm2 = tb2.post_one_ref(SimTime::ZERO, conn2, &mk2(0, 0));
+        let c1 = tb2.post_one_ref(warm2.at, conn2, &mk2(1, 0));
+        let c2 = tb2.post_one_ref(c1.at, conn2, &mk2(2, 64));
         let serial_span = c2.at - warm2.at;
         let single_span = c1.at - warm2.at;
         assert!(batch_span < serial_span, "{batch_span} !< {serial_span}");
@@ -1179,26 +1065,26 @@ mod tests {
             Endpoint { machine: 0, port: 1, core_socket: 0 },
             Endpoint { machine: 1, port: 1, core_socket: 0 },
         );
-        let warm_g = tb.post_one(
+        let warm_g = tb.post_one_ref(
             SimTime::ZERO,
             good,
-            WorkRequest::write(0, Sge::new(src_good, 0, 8), rkey(dst_good), 0),
+            &WorkRequest::write(0, Sge::new(src_good, 0, 8), rkey(dst_good), 0),
         );
-        let g = tb.post_one(
+        let g = tb.post_one_ref(
             warm_g.at,
             good,
-            WorkRequest::write(1, Sge::new(src_good, 0, 8), rkey(dst_good), 0),
+            &WorkRequest::write(1, Sge::new(src_good, 0, 8), rkey(dst_good), 0),
         );
         let lat_good = g.at - warm_g.at;
-        let warm_b = tb.post_one(
+        let warm_b = tb.post_one_ref(
             g.at,
             bad,
-            WorkRequest::write(2, Sge::new(src_bad, 0, 8), rkey(dst_bad), 0),
+            &WorkRequest::write(2, Sge::new(src_bad, 0, 8), rkey(dst_bad), 0),
         );
-        let b = tb.post_one(
+        let b = tb.post_one_ref(
             warm_b.at,
             bad,
-            WorkRequest::write(3, Sge::new(src_bad, 0, 8), rkey(dst_bad), 0),
+            &WorkRequest::write(3, Sge::new(src_bad, 0, 8), rkey(dst_bad), 0),
         );
         let lat_bad = b.at - warm_b.at;
         let extra = lat_bad.as_ns() / lat_good.as_ns() - 1.0;
@@ -1209,13 +1095,16 @@ mod tests {
     #[test]
     fn rpc_is_slower_than_one_sided_write() {
         let (mut tb, src, dst, conn) = setup();
-        let warm = tb.post_one(
+        let warm = tb.post_one_ref(
             SimTime::ZERO,
             conn,
-            WorkRequest::write(0, Sge::new(src, 0, 32), rkey(dst), 0),
+            &WorkRequest::write(0, Sge::new(src, 0, 32), rkey(dst), 0),
         );
-        let w =
-            tb.post_one(warm.at, conn, WorkRequest::write(1, Sge::new(src, 0, 32), rkey(dst), 0));
+        let w = tb.post_one_ref(
+            warm.at,
+            conn,
+            &WorkRequest::write(1, Sge::new(src, 0, 32), rkey(dst), 0),
+        );
         let one_sided = w.at - warm.at;
         let t0 = w.at;
         let done = tb.rpc_call(t0, conn, 32, 32, SimTime::from_ns(100));
@@ -1244,10 +1133,10 @@ mod tests {
         for m in 0..3 {
             let src = tb.register(m, 1, 1 << 20);
             let conn = tb.connect(Endpoint::affine(m, 1), Endpoint::affine(3, 1));
-            let c = tb.post_one(
+            let c = tb.post_one_ref(
                 SimTime::ZERO,
                 conn,
-                WorkRequest::write(m as u64, Sge::new(src, 0, 8192), rkey(dst), 0),
+                &WorkRequest::write(m as u64, Sge::new(src, 0, 8192), rkey(dst), 0),
             );
             lasts.push(c.at);
         }
@@ -1264,74 +1153,265 @@ mod tests {
         tb.connect(Endpoint::affine(0, 0), Endpoint::affine(0, 1));
     }
 
-    /// The batched device pipeline is pure optimization: driving the same
-    /// mixed workload (writes, reads, SGL gathers, atomics, doorbell
-    /// trains, backed and unbacked regions, two interleaved connections)
-    /// through both pipelines must yield identical CQEs, identical memory
-    /// bytes, and identical MTT/QPC hit/miss counters on every NIC.
+    /// FNV-1a 64 fold, the digest every pinned run value below uses.
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= b as u64;
+            *h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// One digest over a mixed workload (writes, reads, SGL gathers,
+    /// atomics, doorbell trains, backed and unbacked regions, two
+    /// interleaved connections): the full CQE train, both memories (bytes
+    /// and resident-page digests), and the MTT/QPC hit/miss counters on
+    /// both NICs. The pinned value is the one the staged, memo-free
+    /// reference pipeline produced as well, so the production pipeline
+    /// stays byte-identical to it.
     #[test]
-    fn batched_pipeline_is_byte_identical_to_unbatched() {
-        let run = |batched: bool| {
-            let mut tb = Testbed::new(ClusterConfig::two_machines());
-            tb.set_batched(batched);
-            let src = tb.register(0, 1, 1 << 20);
-            let dst = tb.register(1, 1, 1 << 20);
-            let ubk = tb.register_unbacked(1, 1, 1 << 20);
-            let c1 = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
-            let c2 = tb.connect(Endpoint::affine(0, 0), Endpoint::affine(1, 0));
-            for i in 0..64u64 {
-                tb.machine_mut(0).mem.store_u64(src, i * 8, i.wrapping_mul(0x9E3779B97F4A7C15));
+    fn mixed_workload_digest_is_pinned() {
+        let mut tb = Testbed::new(ClusterConfig::two_machines());
+        let src = tb.register(0, 1, 1 << 20);
+        let dst = tb.register(1, 1, 1 << 20);
+        let ubk = tb.register_unbacked(1, 1, 1 << 20);
+        let c1 = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
+        let c2 = tb.connect(Endpoint::affine(0, 0), Endpoint::affine(1, 0));
+        for i in 0..64u64 {
+            tb.machine_mut(0).mem.store_u64(src, i * 8, i.wrapping_mul(0x9E3779B97F4A7C15));
+        }
+        let mut cqes = Vec::new();
+        let mut t = SimTime::ZERO;
+        for round in 0..50u64 {
+            let conn = if round % 3 == 0 { c2 } else { c1 };
+            let off = (round * 96) % 4000;
+            let wrs = [
+                WorkRequest {
+                    signaled: false,
+                    ..WorkRequest::write(round * 10, Sge::new(src, off, 32), rkey(dst), off)
+                },
+                WorkRequest::write(round * 10 + 1, Sge::new(src, off, 64), rkey(ubk), off),
+                WorkRequest {
+                    wr_id: WrId(round * 10 + 2),
+                    kind: VerbKind::Write,
+                    sgl: [Sge::new(src, 0, 16), Sge::new(src, 512, 16)].into(),
+                    remote: Some((rkey(dst), 8192 + off)),
+                    signaled: true,
+                },
+                WorkRequest::read(round * 10 + 3, Sge::new(src, 4096 + off, 48), rkey(dst), off),
+                WorkRequest::read(round * 10 + 4, Sge::new(src, 8192, 16), rkey(ubk), off),
+                WorkRequest {
+                    wr_id: WrId(round * 10 + 5),
+                    kind: VerbKind::FetchAdd { delta: round },
+                    sgl: Sge::new(src, 16384, 8).into(),
+                    remote: Some((rkey(dst), 32768)),
+                    signaled: true,
+                },
+            ];
+            let batch = tb.post(t, conn, &wrs);
+            t = batch.last().expect("signaled tail").at;
+            cqes.extend_from_slice(batch);
+        }
+        assert_eq!(cqes.len(), 250);
+        let mut h = FNV_OFFSET;
+        for c in &cqes {
+            fnv(&mut h, &c.wr_id.0.to_le_bytes());
+            fnv(&mut h, format!("{:?}", c.status).as_bytes());
+            fnv(&mut h, &c.at.0.to_le_bytes());
+            fnv(&mut h, &c.old_value.to_le_bytes());
+        }
+        for (m, mr) in [(0, src), (1, dst)] {
+            let mem = &tb.machine(m).mem;
+            fnv(&mut h, &mem.read(mr, 0, 1 << 20));
+            fnv(&mut h, &mem.resident_digest(mr).to_le_bytes());
+        }
+        for m in 0..2 {
+            let rnic = &tb.machine(m).rnic;
+            let ((mh, mm), (qh, qm)) = (rnic.mtt.stats(), rnic.qpc.stats());
+            for v in [mh, mm, qh, qm] {
+                fnv(&mut h, &v.to_le_bytes());
             }
-            let mut cqes = Vec::new();
-            let mut t = SimTime::ZERO;
-            for round in 0..50u64 {
-                let conn = if round % 3 == 0 { c2 } else { c1 };
-                let off = (round * 96) % 4000;
-                let wrs = [
-                    WorkRequest {
-                        signaled: false,
-                        ..WorkRequest::write(round * 10, Sge::new(src, off, 32), rkey(dst), off)
-                    },
-                    WorkRequest::write(round * 10 + 1, Sge::new(src, off, 64), rkey(ubk), off),
-                    WorkRequest {
-                        wr_id: WrId(round * 10 + 2),
-                        kind: VerbKind::Write,
-                        sgl: [Sge::new(src, 0, 16), Sge::new(src, 512, 16)].into(),
-                        remote: Some((rkey(dst), 8192 + off)),
-                        signaled: true,
-                    },
-                    WorkRequest::read(
-                        round * 10 + 3,
-                        Sge::new(src, 4096 + off, 48),
-                        rkey(dst),
-                        off,
-                    ),
-                    WorkRequest::read(round * 10 + 4, Sge::new(src, 8192, 16), rkey(ubk), off),
-                    WorkRequest {
-                        wr_id: WrId(round * 10 + 5),
-                        kind: VerbKind::FetchAdd { delta: round },
-                        sgl: Sge::new(src, 16384, 8).into(),
-                        remote: Some((rkey(dst), 32768)),
-                        signaled: true,
-                    },
-                ];
-                let batch = tb.post(t, conn, &wrs);
-                t = batch.last().expect("signaled tail").at;
-                cqes.extend(batch);
-            }
-            let src_bytes = tb.machine(0).mem.read(src, 0, 1 << 20);
-            let dst_bytes = tb.machine(1).mem.read(dst, 0, 1 << 20);
-            let stats: Vec<_> = (0..2)
-                .map(|m| (tb.machine(m).rnic.mtt.stats(), tb.machine(m).rnic.qpc.stats()))
-                .collect();
-            (cqes, src_bytes, dst_bytes, stats)
+        }
+        assert_eq!(h, 0x65d7_1965_94b1_3010, "mixed workload digest moved: {h:#018x}");
+    }
+
+    /// Staged reference for a Write's data effect: gather every local SGE
+    /// into one buffer, then write the buffer to the remote span.
+    fn gather_bytes_into(m: &Machine, wr: &WorkRequest, out: &mut Vec<u8>) {
+        out.reserve(wr.payload_bytes() as usize);
+        for sge in &wr.sgl {
+            m.mem.read_into(sge.mr, sge.offset, sge.len, out);
+        }
+    }
+
+    /// Staged reference for a Read's data effect: scatter one buffer over
+    /// the local SGL.
+    fn scatter_bytes(m: &mut Machine, wr: &WorkRequest, data: &[u8]) {
+        let mut cursor = 0usize;
+        for sge in &wr.sgl {
+            let end = cursor + sge.len as usize;
+            m.mem.write(sge.mr, sge.offset, &data[cursor..end]);
+            cursor = end;
+        }
+    }
+
+    /// Length of every region in the data-effect differential tests.
+    const EFFECT_REGION: u64 = 4 * crate::CHUNK_BYTES;
+
+    /// A machine for the data-effect differential tests: two backed
+    /// regions (one seeded with a non-zero pattern in alternate 64 KiB
+    /// chunks, one left as holes) and one unbacked region. Every such
+    /// machine gets the same region ids.
+    fn effect_machine(cfg: &ClusterConfig) -> (Machine, [MrId; 3]) {
+        let mut m = blank_machine(cfg);
+        let seeded = m.mem.register(0, EFFECT_REGION);
+        let holes = m.mem.register(0, EFFECT_REGION);
+        let unbacked = m.mem.register_unbacked(0, EFFECT_REGION);
+        for chunk in (0..4u64).step_by(2) {
+            let pattern: Vec<u8> =
+                (0..crate::CHUNK_BYTES).map(|i| (i * 7 + chunk + 1) as u8).collect();
+            m.mem.write(seeded, chunk * crate::CHUNK_BYTES, &pattern);
+        }
+        (m, [seeded, holes, unbacked])
+    }
+
+    /// A random `(offset, len)` span inside one region: offsets cluster
+    /// around the 64 KiB seams half the time so spans straddle them;
+    /// lengths run from one byte to `len_cap`.
+    fn random_span(rng: &mut simcore::SimRng, len_cap: u64) -> (u64, u64) {
+        let len = 1 + rng.gen_range(len_cap);
+        let off = if rng.gen_bool(0.5) {
+            let seam = (1 + rng.gen_range(3)) * crate::CHUNK_BYTES;
+            seam.saturating_sub(rng.gen_range(len + 1))
+        } else {
+            rng.gen_range(EFFECT_REGION)
         };
-        let fast = run(true);
-        let slow = run(false);
-        assert_eq!(fast.0, slow.0, "completion trains diverged");
-        assert_eq!(fast.1, slow.1, "client memory diverged");
-        assert_eq!(fast.2, slow.2, "server memory diverged");
-        assert_eq!(fast.3, slow.3, "MTT/QPC counters diverged");
+        (off.min(EFFECT_REGION - len), len)
+    }
+
+    /// One to four random SGEs over `mrs`, their total under one region.
+    fn random_sgl(rng: &mut simcore::SimRng, mrs: &[MrId; 3]) -> rnicsim::InlineSgl {
+        let sges = 1 + rng.gen_range(4);
+        let cap = if rng.gen_bool(0.2) { crate::CHUNK_BYTES / 2 } else { 4096 };
+        (0..sges)
+            .map(|_| {
+                let (off, len) = random_span(rng, cap);
+                Sge::new(mrs[rng.gen_range(3) as usize], off, len)
+            })
+            .collect()
+    }
+
+    /// Every byte and every resident-page digest of both machines' regions.
+    fn effect_state(a: &Machine, b: &Machine, mrs: &[MrId; 3]) -> Vec<(Vec<u8>, u64)> {
+        [a, b]
+            .iter()
+            .flat_map(|m| {
+                mrs.iter().map(|&mr| (m.mem.read(mr, 0, EFFECT_REGION), m.mem.resident_digest(mr)))
+            })
+            .collect()
+    }
+
+    /// Resident bytes of every region on both machines (cheap enough to
+    /// compare after every WR; [`effect_state`] runs periodically).
+    fn residency(a: &Machine, b: &Machine, mrs: &[MrId; 3]) -> Vec<u64> {
+        [a, b]
+            .iter()
+            .flat_map(|m| {
+                mrs.iter().map(|&mr| m.mem.region(mr).expect("registered").resident_bytes())
+            })
+            .collect()
+    }
+
+    type Effect = fn(&mut Machine, &mut Machine, &WorkRequest, MrId, u64, &mut Vec<u8>);
+
+    /// Drive `effect` and its staged `reference` over 400 generated WRs
+    /// of `kind` on twin machine pairs: seam-straddling spans, unbacked
+    /// sources and destinations, and multi-SGE lists all occur. After
+    /// every WR the touched bytes and per-region residency must match;
+    /// every 32 WRs (and at the end) every byte and resident-page digest.
+    /// The pairs swap roles each WR, so written bytes become sources.
+    fn effect_differential(kind: VerbKind, seed: u64, effect: Effect, reference: Effect) {
+        const WRS: u64 = 400;
+        let cfg = ClusterConfig::two_machines();
+        let (mut cm, mrs) = effect_machine(&cfg);
+        let [mut sm, mut ref_cm, mut ref_sm] = [(); 3].map(|_| effect_machine(&cfg).0);
+        let mut rng = simcore::SimRng::new(seed);
+        let (mut scratch, mut staged) = (Vec::new(), Vec::new());
+        // straddling span, unbacked remote region, unbacked SGE, multi-SGE
+        let mut seen = [0u64; 4];
+        for i in 0..WRS {
+            let sgl = random_sgl(&mut rng, &mrs);
+            let remote = mrs[rng.gen_range(3) as usize];
+            let payload: u64 = sgl.iter().map(|s| s.len).sum();
+            let (remote_off, _) = random_span(&mut rng, 1);
+            let remote_off = remote_off.min(EFFECT_REGION - payload);
+            let wr = WorkRequest {
+                wr_id: WrId(i),
+                kind: kind.clone(),
+                sgl,
+                remote: Some((rkey(remote), remote_off)),
+                signaled: true,
+            };
+            seen[0] += (straddles(remote_off, payload)
+                || wr.sgl.iter().any(|s| straddles(s.offset, s.len))) as u64;
+            seen[1] += (remote == mrs[2]) as u64;
+            seen[2] += wr.sgl.iter().any(|s| s.mr == mrs[2]) as u64;
+            seen[3] += (wr.sgl.len() > 1) as u64;
+
+            effect(&mut cm, &mut sm, &wr, remote, remote_off, &mut scratch);
+            staged.clear();
+            reference(&mut ref_cm, &mut ref_sm, &wr, remote, remote_off, &mut staged);
+            let touched = |cm: &Machine, sm: &Machine| -> Vec<Vec<u8>> {
+                let mut spans = vec![sm.mem.read(remote, remote_off, payload)];
+                spans.extend(wr.sgl.iter().map(|s| cm.mem.read(s.mr, s.offset, s.len)));
+                spans
+            };
+            assert_eq!(touched(&cm, &sm), touched(&ref_cm, &ref_sm), "WR {i} diverged: {wr:?}");
+            assert_eq!(residency(&cm, &sm, &mrs), residency(&ref_cm, &ref_sm, &mrs), "WR {i}");
+            if i % 32 == 0 || i + 1 == WRS {
+                assert!(
+                    effect_state(&cm, &sm, &mrs) == effect_state(&ref_cm, &ref_sm, &mrs),
+                    "state diverged after WR {i}"
+                );
+            }
+            std::mem::swap(&mut cm, &mut sm);
+            std::mem::swap(&mut ref_cm, &mut ref_sm);
+        }
+        assert!(seen.iter().all(|&n| n > WRS / 20), "generator coverage too thin: {seen:?}");
+    }
+
+    /// `write_effect` against the staged gather-then-write reference.
+    #[test]
+    fn write_effect_matches_staged_gather() {
+        effect_differential(
+            VerbKind::Write,
+            0x5EED_0001,
+            |cm, sm, wr, mr, off, scratch| write_effect(cm, sm, wr, mr, off, scratch),
+            |cm, sm, wr, mr, off, staged| {
+                gather_bytes_into(cm, wr, staged);
+                sm.mem.write(mr, off, staged);
+            },
+        );
+    }
+
+    /// `read_effect` against the staged read-then-scatter reference (the
+    /// SGL is the scatter side here).
+    #[test]
+    fn read_effect_matches_staged_scatter() {
+        effect_differential(
+            VerbKind::Read,
+            0x5EED_0002,
+            |cm, sm, wr, mr, off, scratch| read_effect(cm, sm, wr, mr, off, scratch),
+            |cm, sm, wr, mr, off, staged| {
+                sm.mem.read_into(mr, off, wr.payload_bytes(), staged);
+                scatter_bytes(cm, wr, staged);
+            },
+        );
+    }
+
+    fn straddles(off: u64, len: u64) -> bool {
+        off / crate::CHUNK_BYTES != (off + len - 1) / crate::CHUNK_BYTES
     }
 }
 
@@ -1352,27 +1432,27 @@ mod transport_tests {
     fn uc_write_completes_before_rc_write() {
         // UC's CQE fires at local send completion — no ACK round trip.
         let (mut tb_rc, src, dst, rc) = setup(Transport::Rc);
-        let warm = tb_rc.post_one(
+        let warm = tb_rc.post_one_ref(
             SimTime::ZERO,
             rc,
-            WorkRequest::write(0, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
+            &WorkRequest::write(0, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
         );
-        let c = tb_rc.post_one(
+        let c = tb_rc.post_one_ref(
             warm.at,
             rc,
-            WorkRequest::write(1, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
+            &WorkRequest::write(1, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
         );
         let rc_lat = c.at - warm.at;
         let (mut tb_uc, src, dst, uc) = setup(Transport::Uc);
-        let warm = tb_uc.post_one(
+        let warm = tb_uc.post_one_ref(
             SimTime::ZERO,
             uc,
-            WorkRequest::write(0, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
+            &WorkRequest::write(0, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
         );
-        let c = tb_uc.post_one(
+        let c = tb_uc.post_one_ref(
             warm.at,
             uc,
-            WorkRequest::write(1, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
+            &WorkRequest::write(1, Sge::new(src, 0, 32), RKey(dst.0 as u64), 0),
         );
         let uc_lat = c.at - warm.at;
         assert!(uc_lat < rc_lat.scale(60, 100), "uc {uc_lat} vs rc {rc_lat}");
@@ -1384,10 +1464,10 @@ mod transport_tests {
     #[should_panic(expected = "not supported")]
     fn uc_rejects_reads() {
         let (mut tb, src, dst, uc) = setup(Transport::Uc);
-        tb.post_one(
+        tb.post_one_ref(
             SimTime::ZERO,
             uc,
-            WorkRequest::read(0, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
+            &WorkRequest::read(0, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
         );
     }
 
@@ -1395,10 +1475,10 @@ mod transport_tests {
     #[should_panic(expected = "not supported")]
     fn ud_rejects_writes() {
         let (mut tb, src, dst, ud) = setup(Transport::Ud);
-        tb.post_one(
+        tb.post_one_ref(
             SimTime::ZERO,
             ud,
-            WorkRequest::write(0, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
+            &WorkRequest::write(0, Sge::new(src, 0, 8), RKey(dst.0 as u64), 0),
         );
     }
 

@@ -34,7 +34,7 @@ fn sgl_gather_equivalence() {
             remote: Some((RKey(dst.0 as u64), 100)),
             signaled: true,
         };
-        let cqe = tb.post_one(SimTime::ZERO, conn, wr);
+        let cqe = tb.post_one_ref(SimTime::ZERO, conn, &wr);
         assert_eq!(cqe.status, CqeStatus::Success);
         assert_eq!(tb.machine(1).mem.read(dst, 100, expected.len() as u64), expected);
     }
@@ -54,7 +54,7 @@ fn completions_are_causal() {
         let mut t = SimTime::ZERO;
         for (i, &len) in posts.iter().enumerate() {
             let wr = WorkRequest::write(i as u64, Sge::new(src, 0, len), RKey(dst.0 as u64), 0);
-            let c = tb.post_one(t, conn, wr);
+            let c = tb.post_one_ref(t, conn, &wr);
             assert!(c.at > t, "completion at {} not after post at {}", c.at, t);
             t = c.at;
         }
@@ -76,7 +76,7 @@ fn bounds_violations_are_contained() {
         let off = 4096 - base.min(len - 1).min(4095) + 4096; // always past the end
         tb.machine_mut(0).mem.write(src, 0, &[7u8; 16]);
         let wr = WorkRequest::write(1, Sge::new(src, 0, len), RKey(dst.0 as u64), off);
-        let cqe = tb.post_one(SimTime::ZERO, conn, wr);
+        let cqe = tb.post_one_ref(SimTime::ZERO, conn, &wr);
         assert_eq!(cqe.status, CqeStatus::RemoteAccessError);
         // Memory untouched.
         assert_eq!(tb.machine(1).mem.read(dst, 0, 4096), vec![0u8; 4096]);
@@ -115,7 +115,7 @@ fn atomic_semantics_exact() {
                 remote: Some((rkey, 0)),
                 signaled: true,
             };
-            let c = tb.post_one(t, conn, wr);
+            let c = tb.post_one_ref(t, conn, &wr);
             assert_eq!(c.old_value, model);
             model = if use_cas { v } else { model.wrapping_add(v) };
             t = c.at;
@@ -139,7 +139,7 @@ fn uc_rc_same_data() {
             tb.machine_mut(0).mem.write(src, 0, &data);
             let wr =
                 WorkRequest::write(1, Sge::new(src, 0, data.len() as u64), RKey(dst.0 as u64), 7);
-            tb.post_one(SimTime::ZERO, conn, wr);
+            tb.post_one_ref(SimTime::ZERO, conn, &wr);
             images.push(tb.machine(1).mem.read(dst, 7, data.len() as u64));
         }
         assert_eq!(&images[0], &data);

@@ -223,7 +223,7 @@ fn shard_migration_preserves_sparse_holes() {
                     let dst_off = (i % 3) * (200 << 20);
                     let wr =
                         WorkRequest::write(i, Sge::new(src, 0, 20), RKey(dst.0 as u64), dst_off);
-                    tb.post_one(now, conn, wr).at
+                    tb.post_one_ref(now, conn, &wr).at
                 })
             })
             .collect();

@@ -2,27 +2,47 @@
 //! a counting global allocator wraps the system allocator, and after a
 //! warm-up phase (scratch buffers grown, MTT warmed, k-server intervals
 //! merged) a burst of posts must perform exactly zero allocations.
+//!
+//! The count is per thread: the test harness runs tests on parallel
+//! threads, and a process-wide counter would see the other tests' heap
+//! traffic.
 
 use cluster::{ClusterConfig, Endpoint, Testbed};
 use rnicsim::{RKey, Sge, VerbKind, WorkRequest, WrId, INLINE_SGES};
 use simcore::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised with no
+    /// destructor, so touching it from inside the allocator never
+    /// allocates or registers anything itself.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only during thread teardown; those allocations
+    // belong to no measured section.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -80,7 +100,7 @@ fn steady_state_posts_do_not_allocate() {
         }
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         for wr in &mut templates {
             wr.wr_id = WrId(id);
@@ -88,8 +108,62 @@ fn steady_state_posts_do_not_allocate() {
             t = tb.post_one_ref(t, conn, wr).at;
         }
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "verb hot path allocated {} times", after - before);
+}
+
+/// A whole doorbell batch through `Testbed::post` — one MMIO, a mixed
+/// train with an unsignaled head, completions returned as a borrowed
+/// slice of the testbed's reused CQE buffer — is allocation-free too.
+#[test]
+fn steady_state_doorbell_batches_do_not_allocate() {
+    let mut tb = Testbed::new(ClusterConfig::two_machines());
+    let src = tb.register(0, 1, 1 << 16);
+    let dst = tb.register(1, 1, 1 << 16);
+    let conn = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
+    let rkey = RKey(dst.0 as u64);
+    let sges: Vec<Sge> = (0..INLINE_SGES as u64).map(|i| Sge::new(src, i * 128, 64)).collect();
+    let mut batch = [
+        WorkRequest {
+            signaled: false,
+            ..WorkRequest::write(0, Sge::new(src, 1024, 32), rkey, 1024)
+        },
+        WorkRequest {
+            wr_id: WrId(0),
+            kind: VerbKind::Write,
+            sgl: sges.as_slice().into(),
+            remote: Some((rkey, 0)),
+            signaled: true,
+        },
+        WorkRequest::read(0, Sge::new(src, 2048, 256), rkey, 2048),
+        WorkRequest {
+            wr_id: WrId(0),
+            kind: VerbKind::FetchAdd { delta: 1 },
+            sgl: Sge::new(src, 0, 8).into(),
+            remote: Some((rkey, 4096)),
+            signaled: true,
+        },
+    ];
+
+    let mut t = SimTime::ZERO;
+    let mut id = 0u64;
+    let mut post_batches = |tb: &mut Testbed, t: &mut SimTime, n: usize| {
+        for _ in 0..n {
+            for wr in &mut batch {
+                wr.wr_id = WrId(id);
+                id += 1;
+            }
+            let cqes = tb.post(*t, conn, &batch);
+            assert_eq!(cqes.len(), 3, "the unsignaled head has no CQE");
+            *t = cqes[cqes.len() - 1].at;
+        }
+    };
+    post_batches(&mut tb, &mut t, 200);
+
+    let before = allocs();
+    post_batches(&mut tb, &mut t, 100);
+    let after = allocs();
+    assert_eq!(after - before, 0, "doorbell batch path allocated {} times", after - before);
 }
 
 /// Steady-state *reads* of the sparse pool are allocation-free too: the
@@ -115,7 +189,7 @@ fn steady_state_pool_reads_do_not_allocate() {
     assert!(pool.read_view(a, seam, 48, &mut scratch).is_some());
     pool.copy_within(a, seam, b, seam, 48);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..200u64 {
         // Zero page: untouched chunk served straight from the static page.
         assert_eq!(pool.try_slice(a, 2 * cluster::CHUNK_BYTES, 64).unwrap(), &[0u8; 64]);
@@ -132,6 +206,6 @@ fn steady_state_pool_reads_do_not_allocate() {
         assert_eq!(pool.load_u64(a, 3 * cluster::CHUNK_BYTES), 0);
         let _ = pool.load_u64(a, 0);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "pool read path allocated {} times", after - before);
 }

@@ -177,7 +177,7 @@ impl ConsolidationBuffer {
             self.remote,
             offset,
         );
-        tb.post_one(now, self.conn, wr).at
+        tb.post_one_ref(now, self.conn, &wr).at
     }
 }
 
@@ -295,7 +295,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for i in 0..16u64 {
             let wr = WorkRequest::write(i, Sge::new(src, 0, 32), RKey(dst.0 as u64), i * 32);
-            t = tb2.post_one(t, conn, wr).at;
+            t = tb2.post_one_ref(t, conn, &wr).at;
         }
         assert!(done * 5 < t, "consolidated {done} vs native {t}");
     }

@@ -100,7 +100,7 @@ impl RemoteSpinlock {
                 remote: Some((self.rkey, self.offset)),
                 signaled: true,
             };
-            let cqe = tb.post_one(t, conn, wr);
+            let cqe = tb.post_one_ref(t, conn, &wr);
             assert_eq!(cqe.status, CqeStatus::Success, "lock word must be valid");
             attempts += 1;
             if cqe.old_value == 0 {
@@ -130,7 +130,7 @@ impl RemoteSpinlock {
             remote: Some((self.rkey, self.offset)),
             signaled: true,
         };
-        let cqe = tb.post_one(now, conn, wr);
+        let cqe = tb.post_one_ref(now, conn, &wr);
         assert_eq!(cqe.status, CqeStatus::Success);
         cqe.at
     }
@@ -254,7 +254,7 @@ mod tests {
             remote: Some((RKey(lock_mr.0 as u64), 0)),
             signaled: true,
         };
-        let cqe = tb.post_one(SimTime::ZERO, conn, wr);
+        let cqe = tb.post_one_ref(SimTime::ZERO, conn, &wr);
         assert_eq!(cqe.old_value, 1, "CAS must observe the held lock");
         assert_eq!(tb.machine(1).mem.load_u64(lock_mr, 0), 1, "no swap on mismatch");
         // Now release and the backoff lock must get it on its next try.

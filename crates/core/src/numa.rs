@@ -192,9 +192,9 @@ mod tests {
             let route = mesh.route(0, 1, 1);
             // Warm, then measure.
             let wr = |id| WorkRequest::write(id, Sge::new(src, 0, 64), RKey(dst.0 as u64), 0);
-            let w = tb.post_one(route.pre, route.conn, wr(0));
+            let w = tb.post_one_ref(route.pre, route.conn, &wr(0));
             let start = w.at;
-            let c = tb.post_one(start + route.pre, route.conn, wr(1));
+            let c = tb.post_one_ref(start + route.pre, route.conn, &wr(1));
             (c.at + route.post) - start
         };
         let direct = run(NumaMode::DirectCross);

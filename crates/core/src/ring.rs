@@ -107,7 +107,7 @@ impl RingProducer {
             remote: Some((self.ring.rkey, self.ring.base)),
             signaled: true,
         };
-        let cqe = tb.post_one(now, conn, faa);
+        let cqe = tb.post_one_ref(now, conn, &faa);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         let ticket = cqe.old_value;
         let mut t = cqe.at;
@@ -121,7 +121,7 @@ impl RingProducer {
                 self.ring.rkey,
                 self.ring.base + 8,
             );
-            let c = tb.post_one(t, conn, rd);
+            let c = tb.post_one_ref(t, conn, &rd);
             debug_assert_eq!(c.status, CqeStatus::Success);
             t = c.at;
             let me = tb.client_of(conn).machine;
@@ -148,7 +148,7 @@ impl RingProducer {
             self.ring.rkey,
             self.ring.slot_offset(ticket),
         );
-        let c = tb.post_one(t + build, conn, wr);
+        let c = tb.post_one_ref(t + build, conn, &wr);
         debug_assert_eq!(c.status, CqeStatus::Success);
         Ok((ticket, c.at))
     }

@@ -52,7 +52,7 @@ impl RemoteSequencer {
             remote: Some((self.rkey, self.offset)),
             signaled: true,
         };
-        let cqe = tb.post_one(now, conn, wr);
+        let cqe = tb.post_one_ref(now, conn, &wr);
         assert_eq!(cqe.status, CqeStatus::Success, "sequencer word must be valid");
         Ticket { value: cqe.old_value, at: cqe.at }
     }

@@ -104,7 +104,7 @@ pub fn batched_write(
             }
             let post_at = now + copy_cost;
             let wr = WorkRequest::write(0, Sge::new(staging, 0, total), rkey, offset);
-            let cqe = tb.post_one(post_at, conn, wr);
+            let cqe = tb.post_one_ref(post_at, conn, &wr);
             debug_assert_eq!(cqe.status, CqeStatus::Success);
             BatchOutcome {
                 done: cqe.at,
@@ -143,7 +143,7 @@ pub fn batched_write(
                     signaled: i == bufs.len() - 1,
                 })
                 .collect();
-            let done = tb.post_scratch(now, conn, &wrs).last().expect("last WR is signaled").at;
+            let done = tb.post(now, conn, &wrs).last().expect("last WR is signaled").at;
             // CPU cost: one MMIO plus queuing N WQEs into the send queue.
             let cpu = tb.cfg.rnic.mmio_cost + tb.cfg.host.l1_touch * bufs.len() as u64;
             BatchOutcome { done, cpu_busy: cpu, ops: bufs.len() as u64 }
@@ -162,7 +162,7 @@ pub fn batched_write(
                 remote: Some((rkey, offset)),
                 signaled: true,
             };
-            let cqe = tb.post_one(now, conn, wr);
+            let cqe = tb.post_one_ref(now, conn, &wr);
             debug_assert_eq!(cqe.status, CqeStatus::Success);
             let cpu = tb.cfg.rnic.mmio_cost + tb.cfg.host.l1_touch * bufs.len() as u64;
             BatchOutcome { done: cqe.at, cpu_busy: cpu, ops: bufs.len() as u64 }
@@ -278,7 +278,7 @@ mod tests {
         let mut t = SimTime::ZERO;
         for (i, sge) in bufs2.iter().enumerate() {
             let wr = WorkRequest::write(i as u64, *sge, RKey(dst2.0 as u64), i as u64 * 32);
-            t = tb2.post_one(t, conn2, wr).at;
+            t = tb2.post_one_ref(t, conn2, &wr).at;
         }
         assert!(out.done * 4 < t, "batched {:?} vs singles {t:?}", out.done);
     }

@@ -94,7 +94,7 @@ impl VersionedEntry {
             self.rkey,
             self.slot_offset(version),
         );
-        let cqe = tb.post_one(ticket.at + build_cost, conn, wr);
+        let cqe = tb.post_one_ref(ticket.at + build_cost, conn, &wr);
         assert_eq!(cqe.status, CqeStatus::Success);
         VersionedWrite { version, at: cqe.at }
     }
@@ -115,7 +115,7 @@ impl VersionedEntry {
         loop {
             // Step 1: read the version counter.
             let wr = WorkRequest::read(0, Sge::new(staging, staging_off, 8), self.rkey, self.base);
-            let cqe = tb.post_one(t, conn, wr);
+            let cqe = tb.post_one_ref(t, conn, &wr);
             assert_eq!(cqe.status, CqeStatus::Success);
             let version = tb.machine(client.machine).mem.load_u64(staging, staging_off);
             if version == 0 {
@@ -129,7 +129,7 @@ impl VersionedEntry {
                 self.rkey,
                 self.slot_offset(version),
             );
-            let cqe2 = tb.post_one(cqe.at, conn, wr);
+            let cqe2 = tb.post_one_ref(cqe.at, conn, &wr);
             assert_eq!(cqe2.status, CqeStatus::Success);
             let tag = tb.machine(client.machine).mem.load_u64(staging, staging_off);
             if tag == version {

@@ -304,8 +304,9 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let qp = qps[(x % 2) as usize];
             let mr = MrId(((x >> 4) % 3) as u32);
-            let off = if x % 3 == 0 { (x >> 16) % (1 << 22) } else { (i * 64) % (1 << 22) };
-            let len = if x % 11 == 0 { 20_000 } else { 64 };
+            let off =
+                if x.is_multiple_of(3) { (x >> 16) % (1 << 22) } else { (i * 64) % (1 << 22) };
+            let len = if x.is_multiple_of(11) { 20_000 } else { 64 };
             assert_eq!(
                 plain.mtt_touch(mr, off, len),
                 memoed.mtt_touch_qp(qp, mr, off, len),

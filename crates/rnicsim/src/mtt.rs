@@ -225,8 +225,9 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let qp = (x % 3) as usize;
             let mr = MrId(((x >> 8) % 4) as u32);
-            let off = if x % 5 == 0 { (x >> 16) % (1 << 21) } else { (i * 32) % (1 << 21) };
-            let len = if x % 7 == 0 { 16 * 1024 } else { 32 };
+            let off =
+                if x.is_multiple_of(5) { (x >> 16) % (1 << 21) } else { (i * 32) % (1 << 21) };
+            let len = if x.is_multiple_of(7) { 16 * 1024 } else { 32 };
             assert_eq!(
                 plain.access(mr, off, len),
                 memoed.access_with_memo(&mut memos[qp], mr, off, len),

@@ -176,7 +176,7 @@ fn clustered_hashes_still_match_reference_model() {
         let mut model = NaiveLru::new(4);
         let mut rng = SimRng::new(0xC1A5 + shift as u64);
         for step in 0..4_000 {
-            let key = (rng.gen_range(12) as u64) << shift;
+            let key = rng.gen_range(12) << shift;
             assert_eq!(real.access(key), model.access(key), "shift {shift} step {step}");
         }
         assert_eq!(real.stats(), (model.hits, model.misses));

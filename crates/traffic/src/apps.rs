@@ -168,7 +168,7 @@ impl HtDriver {
                     rkey(self.table[socket]),
                     slot,
                 );
-                let cqe = tb.post_one(now + hop, conn, wr);
+                let cqe = tb.post_one_ref(now + hop, conn, &wr);
                 debug_assert_eq!(cqe.status, CqeStatus::Success);
                 cqe.at + hop
             }
@@ -197,7 +197,7 @@ impl HtDriver {
                     rkey(self.hot[hsocket]),
                     block * BLOCK_ENTRIES * SLOT_BYTES,
                 );
-                let cqe = tb.post_one(now + absorb + hop + tb.cfg.host.l1_touch, conn, wr);
+                let cqe = tb.post_one_ref(now + absorb + hop + tb.cfg.host.l1_touch, conn, &wr);
                 debug_assert_eq!(cqe.status, CqeStatus::Success);
                 cqe.at + hop
             }
@@ -210,7 +210,7 @@ impl HtDriver {
                 rkey(self.table[socket]),
                 slot,
             );
-            let cqe = tb.post_one(now + hop + build, conn, wr);
+            let cqe = tb.post_one_ref(now + hop + build, conn, &wr);
             debug_assert_eq!(cqe.status, CqeStatus::Success);
             cqe.at + hop
         };
@@ -248,7 +248,7 @@ impl ShuffleDriver {
                 self.slab,
                 offset,
             );
-            let cqe = tb.post_one(now + build, self.conn, wr);
+            let cqe = tb.post_one_ref(now + build, self.conn, &wr);
             debug_assert_eq!(cqe.status, CqeStatus::Success);
             out.push((now, cqe.at));
             return;
@@ -273,7 +273,7 @@ impl ShuffleDriver {
             self.slab,
             offset,
         );
-        let cqe = tb.post_one(t, self.conn, wr);
+        let cqe = tb.post_one_ref(t, self.conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         for arrival in self.pending.drain(..) {
             out.push((arrival, cqe.at));
@@ -307,7 +307,7 @@ impl JoinDriver {
                 self.tuples,
                 key * JOIN_TUPLE_BYTES,
             );
-            let cqe = tb.post_one(now, self.conn, wr);
+            let cqe = tb.post_one_ref(now, self.conn, &wr);
             debug_assert_eq!(cqe.status, CqeStatus::Success);
             out.push((now, cqe.at + apps::join::PROBE_COST));
             return;
@@ -335,7 +335,7 @@ impl JoinDriver {
                 )
             })
             .collect();
-        let cqes = tb.post_scratch(t, self.conn, &wrs);
+        let cqes = tb.post(t, self.conn, &wrs);
         debug_assert_eq!(cqes.len(), self.pending.len());
         let dones: Vec<SimTime> = cqes.iter().map(|c| c.at + apps::join::PROBE_COST).collect();
         for ((arrival, _), done) in self.pending.drain(..).zip(dones) {
@@ -363,10 +363,10 @@ pub struct DlogDriver {
 impl DlogDriver {
     fn commit(&mut self, t: SimTime, tb: &mut Testbed, records: u64) -> SimTime {
         let bytes = records * DLOG_RECORD;
-        let faa = tb.post_one(
+        let faa = tb.post_one_ref(
             t,
             self.conn,
-            WorkRequest {
+            &WorkRequest {
                 wr_id: WrId(records),
                 kind: VerbKind::FetchAdd { delta: bytes },
                 sgl: Sge::new(self.staging, 0, 8).into(),
@@ -377,7 +377,7 @@ impl DlogDriver {
         debug_assert_eq!(faa.status, CqeStatus::Success);
         let wr =
             WorkRequest::write(records, Sge::new(self.staging, 16, bytes), self.log, faa.old_value);
-        let cqe = tb.post_one(faa.at, self.conn, wr);
+        let cqe = tb.post_one_ref(faa.at, self.conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         cqe.at
     }

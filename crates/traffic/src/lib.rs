@@ -27,7 +27,7 @@
 //! * [`sweep`] — offered-load sweeps and the knee finder: the maximum
 //!   offered load whose p99 stays within an app-specific SLO.
 //!
-//! Everything is deterministic: serial, parallel, batched/unbatched, and
+//! Everything is deterministic: serial, parallel, and
 //! `--shards N` runs produce byte-identical histograms (the pods that make
 //! up a traffic cluster are connection-disjoint, so they shard exactly).
 //!

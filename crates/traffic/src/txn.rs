@@ -209,7 +209,7 @@ pub fn run_txn_traffic(cfg: &TxnTrafficConfig) -> TxnReport {
                 let mut at = SimTime::ZERO;
                 let schedule = (0..cfg.ops_per_tenant)
                     .map(|_| {
-                        at = at + arrivals.next_gap();
+                        at += arrivals.next_gap();
                         (at, gen_request(cfg.profile, &geo, t, &mut req_rng))
                     })
                     .collect();

@@ -453,7 +453,7 @@ impl TxnMachine {
 
     fn post(&mut self, tb: &mut Testbed, now: SimTime, wr: WorkRequest) -> SimTime {
         self.stats.verbs += 1;
-        let cqe = tb.post_one(now, self.conn, wr);
+        let cqe = tb.post_one_ref(now, self.conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success, "txn verb failed: {:?}", cqe.status);
         cqe.at
     }
@@ -468,7 +468,7 @@ impl TxnMachine {
             signaled: true,
         };
         self.next_wr_id += 1;
-        let cqe = tb.post_one(now, self.conn, wr);
+        let cqe = tb.post_one_ref(now, self.conn, &wr);
         debug_assert_eq!(cqe.status, CqeStatus::Success);
         (cqe.old_value, cqe.at)
     }

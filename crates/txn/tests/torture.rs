@@ -3,7 +3,7 @@
 //! The workload is all `Add(1)` read-modify-writes, so the serial
 //! reference model is order-independent: every committed transaction
 //! bumps its record's version by exactly 1 *and* its counter by exactly
-//! 1. A lost update — two transactions reading the same base value and
+//! one. A lost update — two transactions reading the same base value and
 //! both committing — would leave `counter < version`; the byte-for-byte
 //! equality of the two is the zero-lost-updates oracle, checked on every
 //! record. Abort/retry accounting and final table bytes must also be
@@ -160,6 +160,17 @@ struct TortureOutcome {
     records: Vec<Vec<(u64, u64, u64)>>,
 }
 
+/// The service configuration every torture run uses, per mode.
+fn service(concurrency: Concurrency, scheduler: Scheduler) -> ServiceConfig {
+    ServiceConfig {
+        scheduler,
+        concurrency,
+        cap_reads: 2,
+        hold: SimTime::from_ns(300),
+        ..Default::default()
+    }
+}
+
 /// All-Add torture: `tenants` tenants per pod, each issuing `ops` RMW
 /// transactions mostly into the shared hot set.
 fn run_torture(
@@ -167,21 +178,13 @@ fn run_torture(
     tenants: usize,
     ops: u64,
     conflict: f64,
-    concurrency: Concurrency,
-    scheduler: Scheduler,
+    cfg: ServiceConfig,
     seed: u64,
     shards: usize,
 ) -> TortureOutcome {
     let mut tb = Testbed::new(ClusterConfig { machines: pods * 2, ..Default::default() });
     let root = SimRng::new(seed);
     let geo = ConflictGeometry { records: RECORDS, hot: HOT, conflict, tenants };
-    let cfg = ServiceConfig {
-        scheduler,
-        concurrency,
-        cap_reads: 2,
-        hold: SimTime::from_ns(300),
-        ..Default::default()
-    };
     let mut setups: Vec<PodSetup> = Vec::new();
     let mut services: Vec<TxnService> = Vec::new();
     for pod in 0..pods {
@@ -192,7 +195,7 @@ fn run_torture(
                 let mut at = SimTime::ZERO;
                 let schedule = (0..ops)
                     .map(|_| {
-                        at = at + SimTime::from_ns(800 + rng.gen_range(2400));
+                        at += SimTime::from_ns(800 + rng.gen_range(2400));
                         let rec = geo.pick(t, &mut rng);
                         (at, TxnRequest::rmw(rec, 1))
                     })
@@ -259,16 +262,30 @@ fn assert_no_lost_updates(out: &TortureOutcome, expected_commits: u64) {
 
 #[test]
 fn torture_optimistic_has_no_lost_updates() {
-    let out =
-        run_torture(1, 4, 120, 0.8, Concurrency::Optimistic, Scheduler::Drr { quantum: 8 }, 11, 1);
+    let out = run_torture(
+        1,
+        4,
+        120,
+        0.8,
+        service(Concurrency::Optimistic, Scheduler::Drr { quantum: 8 }),
+        11,
+        1,
+    );
     assert_no_lost_updates(&out, 4 * 120);
     assert!(out.stats.aborts > 0, "0.8 conflict on 8 hot records must produce aborts");
 }
 
 #[test]
 fn torture_locked_has_no_lost_updates() {
-    let out =
-        run_torture(1, 4, 120, 0.8, Concurrency::Locked, Scheduler::Drr { quantum: 8 }, 12, 1);
+    let out = run_torture(
+        1,
+        4,
+        120,
+        0.8,
+        service(Concurrency::Locked, Scheduler::Drr { quantum: 8 }),
+        12,
+        1,
+    );
     assert_no_lost_updates(&out, 4 * 120);
     assert!(out.stats.cas_retries > 0, "lock mode must contend on the hot set");
 }
@@ -276,8 +293,10 @@ fn torture_locked_has_no_lost_updates() {
 #[test]
 fn torture_serial_vs_sharded_byte_identical() {
     for concurrency in [Concurrency::Optimistic, Concurrency::Locked] {
-        let serial = run_torture(2, 3, 80, 0.7, concurrency, Scheduler::Drr { quantum: 8 }, 13, 1);
-        let sharded = run_torture(2, 3, 80, 0.7, concurrency, Scheduler::Drr { quantum: 8 }, 13, 2);
+        let serial =
+            run_torture(2, 3, 80, 0.7, service(concurrency, Scheduler::Drr { quantum: 8 }), 13, 1);
+        let sharded =
+            run_torture(2, 3, 80, 0.7, service(concurrency, Scheduler::Drr { quantum: 8 }), 13, 2);
         assert_no_lost_updates(&serial, 2 * 3 * 80);
         assert_eq!(
             serial.stats,
@@ -293,7 +312,7 @@ fn torture_serial_vs_sharded_byte_identical() {
 #[test]
 fn fifo_and_drr_both_preserve_integrity() {
     for scheduler in [Scheduler::Fifo, Scheduler::Drr { quantum: 16 }] {
-        let out = run_torture(1, 3, 60, 0.9, Concurrency::Optimistic, scheduler, 14, 1);
+        let out = run_torture(1, 3, 60, 0.9, service(Concurrency::Optimistic, scheduler), 14, 1);
         assert_no_lost_updates(&out, 3 * 60);
     }
 }

@@ -311,8 +311,8 @@ mod tests {
         let cdf = Zipf::paper(n);
         let alias = ZipfAlias::paper(n);
         let draws = 200_000u64;
-        let mut cdf_counts = vec![0u64; 16];
-        let mut alias_counts = vec![0u64; 16];
+        let mut cdf_counts = [0u64; 16];
+        let mut alias_counts = [0u64; 16];
         let mut cdf_head = 0u64; // hottest 1% of ranks
         let mut alias_head = 0u64;
         let mut rng_c = SimRng::new(0x21BF);

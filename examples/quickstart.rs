@@ -23,8 +23,8 @@ fn main() {
     // --- RDMA Write: move real bytes, no remote CPU -------------------
     tb.machine_mut(0).mem.write(src, 0, b"one-sided writes move real bytes");
     let wr = WorkRequest::write(1, Sge::new(src, 0, 32), RKey(dst.0 as u64), 128);
-    let warm = tb.post_one(SimTime::ZERO, conn, wr.clone());
-    let cqe = tb.post_one(warm.at, conn, WorkRequest { wr_id: WrId(2), ..wr });
+    let warm = tb.post_one_ref(SimTime::ZERO, conn, &wr);
+    let cqe = tb.post_one_ref(warm.at, conn, &WorkRequest { wr_id: WrId(2), ..wr });
     println!(
         "RDMA Write  32B: {:>10}   (paper: ~1.16us small writes)",
         format!("{}", cqe.at - warm.at)
@@ -34,7 +34,7 @@ fn main() {
     // --- RDMA Read -----------------------------------------------------
     let rd = WorkRequest::read(3, Sge::new(src, 4096, 32), RKey(dst.0 as u64), 128);
     let t0 = cqe.at;
-    let cqe = tb.post_one(t0, conn, rd);
+    let cqe = tb.post_one_ref(t0, conn, &rd);
     println!("RDMA Read   32B: {:>10}   (paper: ~2.00us small reads)", format!("{}", cqe.at - t0));
     assert_eq!(tb.machine(0).mem.read(src, 4096, 32), b"one-sided writes move real bytes");
 
@@ -47,7 +47,7 @@ fn main() {
         remote: Some((RKey(dst.0 as u64), 0)),
         signaled: true,
     };
-    let cqe = tb.post_one(t0, conn, faa);
+    let cqe = tb.post_one_ref(t0, conn, &faa);
     println!(
         "RDMA FAA     8B: {:>10}   returned old value {} (counter now {})",
         format!("{}", cqe.at - t0),
@@ -64,7 +64,7 @@ fn main() {
         remote: Some((RKey(dst.0 as u64), 0)),
         signaled: true,
     };
-    let cqe = tb.post_one(t0, conn, cas);
+    let cqe = tb.post_one_ref(t0, conn, &cas);
     println!(
         "RDMA CAS     8B: {:>10}   swapped {} -> {}",
         format!("{}", cqe.at - t0),

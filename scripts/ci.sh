@@ -11,27 +11,27 @@ echo "== build (release) =="
 cargo build --release --offline
 
 echo "== tests =="
-cargo test -q --offline
+cargo test -q --offline --workspace
 
 echo "== clippy =="
-cargo clippy --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== bench binaries build =="
 cargo build --benches --release --offline
 
-echo "== determinism check (serial vs parallel vs unbatched vs sharded) =="
+echo "== determinism check (3-way: serial vs parallel vs sharded) =="
 # The gate's id set includes fig6-xxl: a small-scale fleet sweep whose
 # rendered notes carry the sparse pool's resident-page digests, so all
-# four legs also prove memory materialization/elision byte-identity.
+# three legs also prove memory materialization/elision byte-identity.
 cargo run --release --offline -p bench -- --check-determinism
 
 echo "== fig6-xxl fleet sweep (2048 machines on the sparse lazy-page pool) =="
 cargo run --release --offline -p bench -- fig6-xxl >/dev/null
 
-echo "== open-loop traffic smoke sweep (4-way determinism, all apps) =="
+echo "== open-loop traffic smoke sweep (3-way determinism, all apps) =="
 cargo run --release --offline -p bench -- --traffic all --load 0.25 --check-determinism
 
-echo "== txn smoke sweep (4-way determinism, all profiles, both modes) =="
+echo "== txn smoke sweep (3-way determinism, all profiles, both modes) =="
 cargo run --release --offline -p bench -- --txn all --load 0.05 --check-determinism
 
 echo "== micro set, sharded (--shards 2) =="

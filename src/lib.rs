@@ -28,7 +28,7 @@
 //! let conn = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
 //! tb.machine_mut(0).mem.write(src, 0, b"hello, remote memory");
 //! let wr = WorkRequest::write(1, Sge::new(src, 0, 20), RKey(dst.0 as u64), 0);
-//! let cqe = tb.post_one(SimTime::ZERO, conn, wr);
+//! let cqe = tb.post_one_ref(SimTime::ZERO, conn, &wr);
 //! assert_eq!(tb.machine(1).mem.read(dst, 0, 20), b"hello, remote memory");
 //! assert!(cqe.at.as_us() < 3.0);
 //! ```

@@ -22,8 +22,8 @@ fn warm_latency(kind: VerbKind, payload: u64) -> SimTime {
         remote: Some((RKey(dst.0 as u64), 0)),
         signaled: true,
     };
-    let warm = tb.post_one(SimTime::ZERO, conn, mk(0));
-    let c = tb.post_one(warm.at, conn, mk(1));
+    let warm = tb.post_one_ref(SimTime::ZERO, conn, &mk(0));
+    let c = tb.post_one_ref(warm.at, conn, &mk(1));
     c.at - warm.at
 }
 
@@ -73,12 +73,13 @@ fn data_round_trips_through_two_hops() {
     let ab = tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1));
     let cb = tb.connect(Endpoint::affine(2, 1), Endpoint::affine(1, 1));
     tb.machine_mut(0).mem.write(a, 0, b"relayed through machine one");
-    let w = tb.post_one(
+    let w = tb.post_one_ref(
         SimTime::ZERO,
         ab,
-        WorkRequest::write(1, Sge::new(a, 0, 27), RKey(b.0 as u64), 100),
+        &WorkRequest::write(1, Sge::new(a, 0, 27), RKey(b.0 as u64), 100),
     );
-    let r = tb.post_one(w.at, cb, WorkRequest::read(2, Sge::new(c, 0, 27), RKey(b.0 as u64), 100));
+    let r =
+        tb.post_one_ref(w.at, cb, &WorkRequest::read(2, Sge::new(c, 0, 27), RKey(b.0 as u64), 100));
     assert_eq!(r.status, CqeStatus::Success);
     assert_eq!(tb.machine(2).mem.read(c, 0, 27), b"relayed through machine one");
 }
@@ -101,7 +102,7 @@ fn concurrent_faa_from_many_machines_is_exact() {
                 remote: Some((rkey, 0)),
                 signaled: true,
             };
-            tb.post_one(now, conn, wr).at
+            tb.post_one_ref(now, conn, &wr).at
         }));
     }
     let mut clients: Vec<Box<dyn Client + '_>> =
@@ -126,7 +127,7 @@ fn mtt_thrash_degrades_random_write_latency() {
     for i in 0..n {
         let off = rng.gen_range((2 << 30) - 64);
         let wr = WorkRequest::write(i, Sge::new(src, 0, 32), RKey(big.0 as u64), off);
-        let c = tb.post_one(t, conn, wr);
+        let c = tb.post_one_ref(t, conn, &wr);
         total += c.at - t;
         t = c.at;
     }

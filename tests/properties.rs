@@ -53,7 +53,7 @@ fn remote_memory_matches_a_byte_model() {
                         rkey,
                         off,
                     );
-                    let c = tb.post_one(t, conn, wr);
+                    let c = tb.post_one_ref(t, conn, &wr);
                     assert_eq!(c.status, CqeStatus::Success);
                     t = c.at;
                     model[off as usize..off as usize + data.len()].copy_from_slice(data);
@@ -62,7 +62,7 @@ fn remote_memory_matches_a_byte_model() {
                     let off = *off as u64;
                     let len = *len as u64;
                     let wr = WorkRequest::read(i as u64, Sge::new(src, 4096, len), rkey, off);
-                    let c = tb.post_one(t, conn, wr);
+                    let c = tb.post_one_ref(t, conn, &wr);
                     assert_eq!(c.status, CqeStatus::Success);
                     t = c.at;
                     let got = tb.machine(0).mem.read(src, 4096, len);
@@ -78,7 +78,7 @@ fn remote_memory_matches_a_byte_model() {
                         remote: Some((rkey, off)),
                         signaled: true,
                     };
-                    let c = tb.post_one(t, conn, wr);
+                    let c = tb.post_one_ref(t, conn, &wr);
                     assert_eq!(c.status, CqeStatus::Success);
                     t = c.at;
                     let old = u64::from_le_bytes(
