@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub mod ablate;
 pub mod appfigs;
@@ -34,79 +33,32 @@ use verbcheck::VerbProgram;
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Pin the number of worker threads [`par_map`] uses (`Some(1)` forces
-/// serial execution); `None` restores the default (the `REPRO_JOBS` env
-/// var if set, else the machine's available parallelism). Parallelism
-/// only changes wall-clock, never results — experiments are independent
-/// deterministic simulations and outputs are merged in input order.
-pub fn set_parallelism(jobs: Option<usize>) {
-    JOBS_OVERRIDE.store(jobs.unwrap_or(0), Ordering::SeqCst);
+/// serial execution); `None` restores the default (the machine's
+/// available parallelism). Returns the override this call replaced, so
+/// a caller can put it back. Parallelism only changes wall-clock, never
+/// results — experiments are independent deterministic simulations and
+/// outputs are merged in input order.
+pub fn set_parallelism(jobs: Option<usize>) -> Option<usize> {
+    match JOBS_OVERRIDE.swap(jobs.unwrap_or(0), Ordering::SeqCst) {
+        0 => None,
+        j => Some(j),
+    }
 }
 
 /// The worker count [`par_map`] will use for `n` items.
 pub fn parallelism(n: usize) -> usize {
     let configured = match JOBS_OVERRIDE.load(Ordering::SeqCst) {
-        0 => std::env::var("REPRO_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&j| j > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)),
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
         j => j,
     };
     configured.min(n).max(1)
 }
 
-/// Order-preserving parallel map over independent experiment points
-/// (scoped threads; every simulation run is self-contained and `Send`).
-///
-/// A bounded worker pool pulls items off a shared cursor, so `items` may
-/// be much longer than the core count. Results come back in input order
-/// regardless of scheduling, and each worker's simulated-op count
-/// ([`simcore::opcount`]) is folded into the calling thread's counter, so
-/// op accounting stays exact under nesting (experiment-level fan-out
-/// over point-level fan-out).
+/// Order-preserving parallel map over independent experiment points on
+/// [`parallelism`] workers; see [`simcore::opcount::par_map`].
 pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = parallelism(n);
-    if workers == 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut child_ops = 0u64;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let f = &f;
-            let slots = &slots;
-            let cursor = &cursor;
-            handles.push(scope.spawn(move || {
-                let ops_before = simcore::opcount::current();
-                let mut out = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i].lock().expect("poisoned").take().expect("taken once");
-                    out.push((i, f(item)));
-                }
-                (out, simcore::opcount::current() - ops_before)
-            }));
-        }
-        for h in handles {
-            let (pairs, ops) = h.join().expect("worker panicked");
-            child_ops += ops;
-            for (i, r) in pairs {
-                results[i] = Some(r);
-            }
-        }
-    });
-    simcore::opcount::add(child_ops);
-    results.into_iter().map(|r| r.expect("worker finished")).collect()
+    let workers = parallelism(items.len());
+    simcore::opcount::par_map(items, workers, f)
 }
 
 /// One experiment group the harness can regenerate — the single registry

@@ -177,7 +177,7 @@ fn check_determinism(scale: Scale) {
     // parallel, or sharded paths diverges the rendered output.
     let specs: Vec<&'static ExperimentSpec> =
         bench::EXPERIMENTS.iter().filter(|e| e.determinism).collect();
-    set_parallelism(Some(1));
+    let jobs = set_parallelism(Some(1));
     cluster::set_shards_default(Some(1));
     let serial: Vec<GroupRun> = specs.iter().map(|spec| run_group(spec, scale)).collect();
     set_parallelism(None);
@@ -186,9 +186,9 @@ fn check_determinism(scale: Scale) {
     if a != b {
         determinism_failed("serial vs parallel", &a, &b);
     }
-    // Third leg: the conservative sharded engine. fig8 runs six machine
-    // pairs concurrently on two shards; the windowed barrier protocol
-    // must reproduce the serial interleaving exactly.
+    // Third leg: the sharded engine. fig8 runs six machine pairs
+    // concurrently on two shards, each shard on its own thread; the
+    // shards must reproduce the serial interleaving exactly.
     set_parallelism(Some(1));
     cluster::set_shards_default(Some(2));
     let sharded: Vec<GroupRun> = specs.iter().map(|spec| run_group(spec, scale)).collect();
@@ -197,7 +197,8 @@ fn check_determinism(scale: Scale) {
     if a != d {
         determinism_failed("serial vs sharded (--shards 2)", &a, &d);
     }
-    set_parallelism(None);
+    // Put back the --serial/--jobs override for whatever runs next.
+    set_parallelism(jobs);
     println!(
         "determinism check passed: serial, parallel, and sharded (--shards 2) output identical \
          ({} bytes)",
@@ -272,7 +273,7 @@ fn parse_modes(spec: &str) -> Option<Vec<txn::Concurrency>> {
 /// and on the sharded engine (`shards = 2`). `kind` names the sweep
 /// (`traffic` or `txn`). Exits non-zero on divergence.
 fn check_sweep_determinism(kind: &str, table: impl Fn(usize) -> String) {
-    set_parallelism(Some(1));
+    let jobs = set_parallelism(Some(1));
     let serial = table(1);
     set_parallelism(None);
     let parallel = table(1);
@@ -281,7 +282,7 @@ fn check_sweep_determinism(kind: &str, table: impl Fn(usize) -> String) {
     }
     set_parallelism(Some(1));
     let sharded = table(2);
-    set_parallelism(None);
+    set_parallelism(jobs);
     if serial != sharded {
         determinism_failed(&format!("{kind} serial vs sharded (shards=2)"), &serial, &sharded);
     }
@@ -626,7 +627,9 @@ fn main() {
                 })));
             }
             "--paper-scale" => scale.paper = true,
-            "--serial" => set_parallelism(Some(1)),
+            "--serial" => {
+                set_parallelism(Some(1));
+            }
             "--shards" => {
                 let v = args.next().unwrap_or_else(|| {
                     eprintln!("--shards needs a positive integer or 'auto'");

@@ -1,5 +1,6 @@
-//! Command-line error paths of `repro`: bad input exits 2 with a message
-//! instead of panicking.
+//! Command-line behaviour of `repro`: bad input exits 2 with a message
+//! instead of panicking, and flags survive the modes that run before
+//! the requested experiments.
 
 use std::process::{Command, Output};
 
@@ -34,5 +35,26 @@ fn malformed_bench_baselines_exit_2() {
     )
     .unwrap();
     assert_usage_error(&["--bench-compare", path.to_str().unwrap()], "schema");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn check_determinism_keeps_the_jobs_override() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bench.json");
+    let out = repro(&[
+        "--jobs",
+        "3",
+        "--check-determinism",
+        "table1",
+        "table2",
+        "table3",
+        "--bench-json",
+        path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&path).unwrap();
+    assert!(json.contains("\"jobs\": 3,"), "{json}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

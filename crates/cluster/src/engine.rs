@@ -49,42 +49,15 @@ pub fn run_clients(
         q.push(SimTime::ZERO, i);
     }
     let mut last = SimTime::ZERO;
-    drive_steps(tb, &mut q, deadline, None, &mut last, &mut |tb, now, i| clients[i].step(now, tb));
-    last
-}
-
-/// The engine's inner loop, shared by the serial [`run_clients`] path and
-/// the sharded coordinator (`crate::shard`): pop the earliest wake-up,
-/// step that client, and re-queue its next wake-up — until the queue
-/// drains, the deadline passes, or (when `window_end` is set) the next
-/// event falls outside the conservative window. A window-limited call
-/// leaves the out-of-window event queued so the next window resumes
-/// exactly where this one stopped; a deadline hit *clears* the queue
-/// (every remaining event is even later, so dropping them is
-/// serially equivalent) so a windowed caller observes termination.
-pub(crate) fn drive_steps(
-    tb: &mut Testbed,
-    q: &mut EventQueue<usize>,
-    deadline: SimTime,
-    window_end: Option<SimTime>,
-    last: &mut SimTime,
-    step: &mut dyn FnMut(&mut Testbed, SimTime, usize) -> Step,
-) {
-    'drain: loop {
-        match q.peek_time() {
-            None => break,
-            Some(pt) if window_end.is_some_and(|e| pt >= e) => break,
-            Some(_) => {}
-        }
-        let (now, i) = q.pop().expect("peeked");
-        if now > deadline {
-            while q.pop().is_some() {}
-            break;
-        }
-        *last = (*last).max(now);
-        let mut now = now;
+    'drain: while let Some((mut now, i)) = q.pop() {
         loop {
-            match step(tb, now, i) {
+            // Every later wake-up is later still, so the first one past
+            // the deadline ends the run.
+            if now > deadline {
+                break 'drain;
+            }
+            last = last.max(now);
+            match clients[i].step(now, tb) {
                 Step::Yield(t) => {
                     assert!(t >= now, "client {i} yielded into the past");
                     // Fast path: if no pending event fires strictly before
@@ -92,15 +65,8 @@ pub(crate) fn drive_steps(
                     // instead of a pop/re-push round trip through the
                     // queue. An *equal*-time pending event was enqueued
                     // earlier and must fire first, so only a strictly
-                    // later (or absent) queue head lets us continue; a
-                    // window boundary likewise forces the slow path so
-                    // the wake-up lands in the queue for the next window.
-                    if q.peek_time().is_none_or(|pt| pt > t) && window_end.is_none_or(|e| t < e) {
-                        if t > deadline {
-                            while q.pop().is_some() {}
-                            break 'drain;
-                        }
-                        *last = (*last).max(t);
+                    // later (or absent) queue head lets us continue.
+                    if q.peek_time().is_none_or(|pt| pt > t) {
                         now = t;
                         continue;
                     }
@@ -111,6 +77,7 @@ pub(crate) fn drive_steps(
             break;
         }
     }
+    last
 }
 
 impl<T: Client + ?Sized> Client for &mut T {
@@ -386,6 +353,34 @@ mod tests {
             run_clients(&mut tb, &mut clients, SimTime::MAX);
         }
         assert_eq!(cl.completions(), bl.batch_completions());
+    }
+
+    #[test]
+    fn deadline_is_inclusive_on_queued_and_inline_wakeups() {
+        let ns = SimTime::from_ns;
+        let counter = || Counter { ticks: 10, period: ns(100), log: vec![] };
+        let mut tb = Testbed::new(ClusterConfig::two_machines());
+        // A lone client never finds a queued event ahead of it, so every
+        // re-step is inline: the step at the deadline runs and the
+        // wake-up at 400 ns is cut inline.
+        let mut lone = counter();
+        let last = {
+            let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut lone)];
+            run_clients(&mut tb, &mut clients, ns(300))
+        };
+        assert_eq!(lone.log, [ns(0), ns(100), ns(200), ns(300)]);
+        assert_eq!(last, ns(300));
+        // Two lock-step clients always find an equal-time wake-up queued,
+        // so every wake-up goes through the queue: the steps at the
+        // deadline run and the first pop at 300 ns is cut.
+        let (mut a, mut b) = (counter(), counter());
+        let last = {
+            let mut clients: Vec<Box<dyn Client + '_>> = vec![Box::new(&mut a), Box::new(&mut b)];
+            run_clients(&mut tb, &mut clients, ns(200))
+        };
+        assert_eq!(a.log, [ns(0), ns(100), ns(200)]);
+        assert_eq!(b.log, a.log);
+        assert_eq!(last, ns(200));
     }
 
     #[test]

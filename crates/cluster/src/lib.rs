@@ -50,8 +50,5 @@ pub use engine::{run_clients, BatchLoop, Client, ClosedLoop, Step};
 pub use memory::{MemoryPool, Region, CHUNK_BYTES};
 pub use oracle::{DmaSpan, OracleState, Race};
 pub use replay::{replay_program, ReplayOutcome};
-pub use shard::{
-    run_clients_sharded, run_clients_windowed, set_shards_default, shard_plan, shards_default,
-    Pinned,
-};
+pub use shard::{run_clients_sharded, set_shards_default, shard_plan, shards_default, Pinned};
 pub use testbed::{ConnId, Endpoint, Machine, Testbed, Transport, UD_GRH_BYTES};

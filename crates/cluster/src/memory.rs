@@ -32,6 +32,7 @@
 //! [`read_view`]: MemoryPool::read_view
 
 use rnicsim::MrId;
+use simcore::Fnv64;
 
 /// Chunk (page) size of sparse backed regions. 64 KiB: big enough that
 /// virtually every verb payload fits in one chunk (the slice fast paths
@@ -444,24 +445,15 @@ impl MemoryPool {
     /// determinism gate for fleet-scale memory without walking the full
     /// registered length. Unbacked regions digest to the FNV basis.
     pub fn resident_digest(&self, mr: MrId) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv64::new();
         if let Backing::Sparse(chunks) = &self.expect_region(mr).backing {
             for (ci, chunk) in chunks.iter().enumerate() {
                 if let Some(c) = chunk {
-                    fold(&(ci as u64).to_le_bytes());
-                    fold(c);
+                    h.u64(ci as u64).bytes(c);
                 }
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -19,7 +19,7 @@ use crate::config::ClusterConfig;
 use crate::oracle::Race;
 use crate::testbed::{ConnId, Endpoint, Testbed};
 use rnicsim::{Completion, CqeStatus, MrId};
-use simcore::SimTime;
+use simcore::{Fnv64, SimTime};
 use verbcheck::program::{Event, VerbProgram};
 
 /// Regions larger than this are registered unbacked (timed-only): their
@@ -158,15 +158,13 @@ pub fn replay_program(prog: &VerbProgram) -> ReplayOutcome {
     let digests = (0..machines)
         .map(|m| {
             let mem = &tb.machine(m).mem;
-            let mut h = 0xcbf29ce484222325u64;
+            let mut h = Fnv64::new();
             for (mr, region) in mem.iter() {
                 if region.is_backed() {
-                    for b in mem.read(mr, 0, region.len) {
-                        h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
-                    }
+                    h.bytes(&mem.read(mr, 0, region.len));
                 }
             }
-            h
+            h.finish()
         })
         .collect();
 

@@ -1,32 +1,27 @@
-//! Sharded client runtime: conservative parallel simulation of the
-//! cluster, machine-partitioned.
+//! Sharded client runtime: the cluster cut into connection-closed
+//! partitions, each run by the serial engine on its own thread.
 //!
 //! [`run_clients_sharded`] is the parallel counterpart of
 //! [`run_clients`](crate::run_clients): each client is [`Pinned`] to its
 //! home machine, connections are grouped into *components* (machines
 //! reachable from one another through some connection), and whole
 //! components are dealt across shards. Each shard takes ownership of its
-//! machines' state ([`Testbed::split_shards`]) plus a private event
-//! queue, and all shards advance concurrently under the conservative
-//! window protocol of [`simcore::shard`].
+//! machines' state ([`Testbed::split_shards`]) and runs its clients
+//! through [`run_clients`](crate::run_clients) on a worker thread; the
+//! machines are absorbed back afterwards.
 //!
 //! Because the partition closes over every connection, a client can only
-//! ever touch machines its own shard owns — shards exchange *zero*
-//! messages, so the run uses [`Lookahead::Unbounded`]: one window, no
-//! barriers, and byte-identical state to the serial engine (each shard
-//! replays exactly the serial interleaving restricted to its clients;
-//! clients on different shards share no machine, connection, or memory,
-//! so their relative order is unobservable). A verb that does reach a
-//! foreign machine panics — see `Testbed::split_shards` — rather than
-//! silently corrupting the causal order. [`run_clients_windowed`]
-//! exposes the finite-lookahead mode the cross-shard traffic engine
-//! (ROADMAP item 2) will build on; today it must produce the same bytes,
-//! which the tests pin.
+//! ever touch machines its own shard owns — shards exchange nothing, and
+//! the result is byte-identical to the serial engine (each shard replays
+//! exactly the serial interleaving restricted to its clients; clients on
+//! different shards share no machine, connection, or memory, so their
+//! relative order is unobservable). A verb that does reach a foreign
+//! machine panics — see `Testbed::split_shards` — rather than silently
+//! corrupting the causal order.
 
-use crate::engine::{drive_steps, Client};
+use crate::engine::Client;
 use crate::testbed::Testbed;
-use simcore::shard::{run_sharded, CrossMsg, Lookahead, ShardWorker};
-use simcore::{EventQueue, SimTime};
+use simcore::{opcount, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide default shard count: 0 = auto (one shard per available
@@ -116,34 +111,6 @@ pub fn shard_plan(tb: &Testbed, homes: &[usize], shards: usize) -> Vec<usize> {
     (0..n).map(|m| comp_shard[find(&mut parent, m)]).collect()
 }
 
-/// One shard: its slice of the cluster, the clients homed there, and a
-/// private event queue. Cross-shard messages never occur (the partition
-/// closes over connections), so `Msg` is uninhabited-in-practice.
-struct ShardClients<'p, 'a> {
-    tb: Testbed,
-    clients: Vec<&'p mut Pinned<'a>>,
-    q: EventQueue<usize>,
-    deadline: SimTime,
-    last: SimTime,
-}
-
-impl ShardWorker for ShardClients<'_, '_> {
-    type Msg = ();
-
-    fn next_time(&self) -> Option<SimTime> {
-        self.q.peek_time()
-    }
-
-    fn run_window(&mut self, end: Option<SimTime>, _outbox: &mut Vec<CrossMsg<()>>) {
-        let ShardClients { tb, clients, q, deadline, last } = self;
-        drive_steps(tb, q, *deadline, end, last, &mut |tb, now, i| clients[i].client.step(now, tb));
-    }
-
-    fn deliver(&mut self, _at: SimTime, _msg: ()) {
-        unreachable!("cluster shards exchange no messages: the partition closes over connections");
-    }
-}
-
 /// Drive `clients` against `tb` on up to `shards` concurrent shards
 /// until all finish or `deadline` passes; returns the last time any
 /// client was stepped. Byte-identical to [`run_clients`](crate::run_clients)
@@ -155,25 +122,6 @@ pub fn run_clients_sharded(
     shards: usize,
     deadline: SimTime,
 ) -> SimTime {
-    run_clients_windowed(tb, clients, shards, deadline, Lookahead::Unbounded)
-}
-
-/// [`run_clients_sharded`] with an explicit lookahead mode. Cluster
-/// shards never exchange messages, so `Unbounded` (one window) and
-/// `Finite` (e.g. [`ClusterConfig::min_link_latency`]
-/// (crate::ClusterConfig::min_link_latency), many windows with a barrier
-/// each) produce identical bytes; the finite mode exists to exercise the
-/// window machinery the future cross-shard traffic engine needs.
-pub fn run_clients_windowed(
-    tb: &mut Testbed,
-    clients: &mut [Pinned<'_>],
-    shards: usize,
-    deadline: SimTime,
-    lookahead: Lookahead,
-) -> SimTime {
-    if clients.is_empty() {
-        return SimTime::ZERO;
-    }
     let homes: Vec<usize> = clients.iter().map(|p| p.machine).collect();
     let owner = shard_plan(tb, &homes, shards.max(1));
     // Shards that ended up without any client would only spin an idle
@@ -182,10 +130,7 @@ pub fn run_clients_windowed(
     used.sort_unstable();
     used.dedup();
     if shards <= 1 || used.len() <= 1 {
-        // Serial path: exactly the engine's single-queue loop.
-        let mut boxed: Vec<Box<dyn Client + '_>> =
-            clients.iter_mut().map(|p| Box::new(&mut *p.client) as Box<dyn Client + '_>).collect();
-        return crate::run_clients(tb, &mut boxed, deadline);
+        return crate::run_clients(tb, &mut boxed(clients.iter_mut()), deadline);
     }
     let owner: Vec<usize> =
         owner.iter().map(|o| used.iter().position(|u| u == o).unwrap_or(0)).collect();
@@ -197,33 +142,24 @@ pub fn run_clients_windowed(
     // engine.
     let mut grouped: Vec<Vec<&mut Pinned<'_>>> = (0..k).map(|_| Vec::new()).collect();
     for p in clients.iter_mut() {
-        let s = owner[p.machine];
-        grouped[s].push(p);
+        grouped[owner[p.machine]].push(p);
     }
-    let mut workers: Vec<ShardClients<'_, '_>> = subs
-        .into_iter()
-        .zip(grouped)
-        .map(|(sub, group)| {
-            let mut q = EventQueue::new();
-            for i in 0..group.len() {
-                q.push(SimTime::ZERO, i);
-            }
-            ShardClients { tb: sub, clients: group, q, deadline, last: SimTime::ZERO }
-        })
-        .collect();
-
-    run_sharded(&mut workers, lookahead, true);
-
-    // Fold in shard order: `last` is a max, so the fold order doesn't
-    // matter, but keeping it deterministic is free.
-    let mut last = SimTime::ZERO;
-    let mut subs = Vec::with_capacity(k);
-    for w in workers {
-        last = last.max(w.last);
-        subs.push(w.tb);
-    }
-    tb.absorb_shards(subs, &owner);
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let work: Vec<_> = subs.into_iter().zip(grouped).collect();
+    let runs = opcount::par_map(work, cores, |(mut sub, group)| {
+        let last = crate::run_clients(&mut sub, &mut boxed(group), deadline);
+        (sub, last)
+    });
+    let last = runs.iter().map(|&(_, last)| last).max().unwrap_or(SimTime::ZERO);
+    tb.absorb_shards(runs.into_iter().map(|(sub, _)| sub).collect(), &owner);
     last
+}
+
+/// The serial engine's view of pinned clients.
+fn boxed<'p, 'a: 'p>(
+    pinned: impl IntoIterator<Item = &'p mut Pinned<'a>>,
+) -> Vec<Box<dyn Client + 'p>> {
+    pinned.into_iter().map(|p| Box::new(&mut *p.client) as Box<dyn Client + 'p>).collect()
 }
 
 #[cfg(test)]
@@ -235,19 +171,54 @@ mod tests {
     use rnicsim::{RKey, Sge, VerbKind, WorkRequest, WrId};
     use simcore::{opcount, SimRng};
 
-    /// Mixed read/write/FAA traffic on `pairs` disjoint machine pairs;
-    /// returns everything observable: per-client completions, memory
-    /// images, cache counters, opcount delta, and the engine's `last`.
-    #[allow(clippy::type_complexity)]
-    fn run_pairs(
-        shards: usize,
-        lookahead: Option<Lookahead>,
-    ) -> (Vec<Vec<SimTime>>, Vec<Vec<u8>>, Vec<((u64, u64), (u64, u64))>, u64, SimTime) {
-        let pairs = 6usize;
+    /// Everything observable about one [`run_pairs`] run.
+    struct PairsRun {
+        /// Per-client completion times.
+        comps: Vec<Vec<SimTime>>,
+        /// Source and destination memory images, per pair.
+        mems: Vec<Vec<u8>>,
+        /// MTT and QPC hit/miss counters, per machine.
+        stats: Vec<((u64, u64), (u64, u64))>,
+        /// The opcount delta of the run.
+        ops: u64,
+        /// What the engine returned.
+        last: SimTime,
+        /// Per client: the wake-up it was left holding, if it yielded one.
+        pending: Vec<Option<SimTime>>,
+        /// Client that stepped last (meaningful for a one-queue run only).
+        stepped_last: usize,
+    }
+
+    /// Records where a client's run ended: the order of its last step
+    /// among all steps and the wake-up that step asked for.
+    struct Probe<'s, C> {
+        inner: C,
+        steps: &'s AtomicUsize,
+        last_step: usize,
+        pending: Option<SimTime>,
+    }
+
+    impl<C: Client> Client for Probe<'_, C> {
+        fn step(&mut self, now: SimTime, tb: &mut Testbed) -> Step {
+            self.last_step = self.steps.fetch_add(1, Ordering::Relaxed);
+            let step = self.inner.step(now, tb);
+            self.pending = match step {
+                Step::Yield(t) => Some(t),
+                Step::Done => None,
+            };
+            step
+        }
+    }
+
+    const PAIRS: usize = 6;
+
+    /// Mixed read/write/FAA traffic on [`PAIRS`] disjoint machine pairs,
+    /// one client per pair, run on `shards` shards up to `deadline`.
+    fn run_pairs(shards: usize, deadline: SimTime) -> PairsRun {
         let ops = 120u64;
-        let mut tb = Testbed::new(ClusterConfig { machines: 2 * pairs, ..Default::default() });
+        let mut tb = Testbed::new(ClusterConfig { machines: 2 * PAIRS, ..Default::default() });
         let mut setups = Vec::new();
-        for p in 0..pairs {
+        for p in 0..PAIRS {
             let (a, b) = (2 * p, 2 * p + 1);
             let src = tb.register(a, 1, 1 << 16);
             let dst = tb.register(b, 1, 1 << 16);
@@ -283,18 +254,23 @@ mod tests {
                 })
             })
             .collect();
+        let steps = AtomicUsize::new(0);
+        let mut probes: Vec<_> = loops
+            .iter_mut()
+            .map(|cl| Probe { inner: cl, steps: &steps, last_step: 0, pending: None })
+            .collect();
         let before = opcount::current();
         let last = {
             let mut pinned: Vec<Pinned<'_>> =
-                loops.iter_mut().enumerate().map(|(p, cl)| Pinned::new(2 * p, cl)).collect();
-            match lookahead {
-                Some(la) => run_clients_windowed(&mut tb, &mut pinned, shards, SimTime::MAX, la),
-                None => run_clients_sharded(&mut tb, &mut pinned, shards, SimTime::MAX),
-            }
+                probes.iter_mut().enumerate().map(|(p, probe)| Pinned::new(2 * p, probe)).collect();
+            run_clients_sharded(&mut tb, &mut pinned, shards, deadline)
         };
-        let ops_delta = opcount::current() - before;
-        let comps: Vec<Vec<SimTime>> = loops.iter().map(|cl| cl.completions().to_vec()).collect();
-        let mems: Vec<Vec<u8>> = setups
+        let ops = opcount::current() - before;
+        let pending = probes.iter().map(|probe| probe.pending).collect();
+        let stepped_last = (0..PAIRS).max_by_key(|&p| probes[p].last_step).expect("clients");
+        drop(probes);
+        let comps = loops.iter().map(|cl| cl.completions().to_vec()).collect();
+        let mems = setups
             .iter()
             .enumerate()
             .flat_map(|(p, &(src, dst, _))| {
@@ -304,36 +280,62 @@ mod tests {
                 ]
             })
             .collect();
-        let stats: Vec<_> = (0..2 * pairs)
+        let stats = (0..2 * PAIRS)
             .map(|m| (tb.machine(m).rnic.mtt.stats(), tb.machine(m).rnic.qpc.stats()))
             .collect();
-        (comps, mems, stats, ops_delta, last)
+        PairsRun { comps, mems, stats, ops, last, pending, stepped_last }
+    }
+
+    fn assert_same_run(serial: &PairsRun, sharded: &PairsRun, what: &str) {
+        assert_eq!(serial.comps, sharded.comps, "completions diverged at {what}");
+        assert_eq!(serial.mems, sharded.mems, "memory diverged at {what}");
+        assert_eq!(serial.stats, sharded.stats, "MTT/QPC counters diverged at {what}");
+        assert_eq!(serial.ops, sharded.ops, "opcount diverged at {what}");
+        assert_eq!(serial.last, sharded.last, "engine last diverged at {what}");
+        assert_eq!(serial.pending, sharded.pending, "pending wake-ups diverged at {what}");
     }
 
     #[test]
     fn sharded_matches_serial_byte_for_byte() {
-        let serial = run_pairs(1, None);
+        let serial = run_pairs(1, SimTime::MAX);
+        assert!(serial.pending.iter().all(Option::is_none), "every client runs to completion");
         for shards in [2, 5] {
-            let sharded = run_pairs(shards, None);
-            assert_eq!(serial.0, sharded.0, "completions diverged at {shards} shards");
-            assert_eq!(serial.1, sharded.1, "memory diverged at {shards} shards");
-            assert_eq!(serial.2, sharded.2, "MTT/QPC counters diverged at {shards} shards");
-            assert_eq!(serial.3, sharded.3, "opcount diverged at {shards} shards");
-            assert_eq!(serial.4, sharded.4, "engine last diverged at {shards} shards");
+            assert_same_run(&serial, &run_pairs(shards, SimTime::MAX), &format!("{shards} shards"));
         }
     }
 
     #[test]
-    fn finite_windows_match_unbounded() {
-        let cfg = ClusterConfig::default();
-        let la = Lookahead::Finite(cfg.min_link_latency());
-        let unbounded = run_pairs(3, Some(Lookahead::Unbounded));
-        let finite = run_pairs(3, Some(la));
-        assert_eq!(unbounded.0, finite.0);
-        assert_eq!(unbounded.1, finite.1);
-        assert_eq!(unbounded.2, finite.2);
-        assert_eq!(unbounded.3, finite.3);
-        assert_eq!(unbounded.4, finite.4);
+    fn sharded_deadline_cut_matches_serial() {
+        let full = run_pairs(1, SimTime::MAX);
+        let deadline = SimTime::from_ps(full.last.as_ps() / 2);
+        let serial = run_pairs(1, deadline);
+        assert!(serial.last <= deadline && serial.last > SimTime::ZERO);
+        assert!(
+            serial.pending.iter().all(|w| w.is_some_and(|t| t > deadline)),
+            "the deadline must stop every client mid-run"
+        );
+        // One queue holds all six clients. The client stepped last left a
+        // wake-up no earlier than another client's queued one, so the fast
+        // path pushed it and the cut came from a queued pop.
+        let cut_by = serial.pending[serial.stepped_last];
+        assert!(
+            (0..PAIRS).any(|p| p != serial.stepped_last && serial.pending[p] <= cut_by),
+            "the serial run must be cut on the queued-pop branch"
+        );
+        // Six single-client components on five shards: four shards hold a
+        // lone client whose queue is empty after its first pop, so every
+        // re-step is inline and the cut is the inline branch.
+        let mut tb = Testbed::new(ClusterConfig { machines: 2 * PAIRS, ..Default::default() });
+        for p in 0..PAIRS {
+            tb.connect(Endpoint::affine(2 * p, 1), Endpoint::affine(2 * p + 1, 1));
+        }
+        let homes: Vec<usize> = (0..PAIRS).map(|p| 2 * p).collect();
+        let owner = shard_plan(&tb, &homes, 5);
+        let lone = (0..5).filter(|&s| homes.iter().filter(|&&h| owner[h] == s).count() == 1);
+        assert_eq!(lone.count(), 4);
+        for shards in [1, 2, 5] {
+            assert_same_run(&serial, &run_pairs(shards, deadline), &format!("{shards} shards"));
+        }
     }
 
     #[test]

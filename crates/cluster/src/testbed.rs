@@ -619,7 +619,7 @@ impl Testbed {
         self.conns.len()
     }
 
-    /// Carve this testbed into `shards` sub-testbeds for conservative
+    /// Carve this testbed into `shards` sub-testbeds for partitioned
     /// parallel simulation: shard `s` takes ownership (by move) of every
     /// machine with `owner[m] == s` and gets a fresh *husk* machine in
     /// every other slot, so machine indices — and therefore `ConnId`s
@@ -1153,16 +1153,6 @@ mod tests {
         tb.connect(Endpoint::affine(0, 0), Endpoint::affine(0, 1));
     }
 
-    /// FNV-1a 64 fold, the digest every pinned run value below uses.
-    fn fnv(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
     /// One digest over a mixed workload (writes, reads, SGL gathers,
     /// atomics, doorbell trains, backed and unbacked regions, two
     /// interleaved connections): the full CQE train, both memories (bytes
@@ -1214,25 +1204,26 @@ mod tests {
             cqes.extend_from_slice(batch);
         }
         assert_eq!(cqes.len(), 250);
-        let mut h = FNV_OFFSET;
+        // The digest every pinned run value here uses.
+        let mut h = simcore::Fnv64::new();
         for c in &cqes {
-            fnv(&mut h, &c.wr_id.0.to_le_bytes());
-            fnv(&mut h, format!("{:?}", c.status).as_bytes());
-            fnv(&mut h, &c.at.0.to_le_bytes());
-            fnv(&mut h, &c.old_value.to_le_bytes());
+            h.u64(c.wr_id.0)
+                .bytes(format!("{:?}", c.status).as_bytes())
+                .u64(c.at.0)
+                .u64(c.old_value);
         }
         for (m, mr) in [(0, src), (1, dst)] {
             let mem = &tb.machine(m).mem;
-            fnv(&mut h, &mem.read(mr, 0, 1 << 20));
-            fnv(&mut h, &mem.resident_digest(mr).to_le_bytes());
+            h.bytes(&mem.read(mr, 0, 1 << 20)).u64(mem.resident_digest(mr));
         }
         for m in 0..2 {
             let rnic = &tb.machine(m).rnic;
             let ((mh, mm), (qh, qm)) = (rnic.mtt.stats(), rnic.qpc.stats());
             for v in [mh, mm, qh, qm] {
-                fnv(&mut h, &v.to_le_bytes());
+                h.u64(v);
             }
         }
+        let h = h.finish();
         assert_eq!(h, 0x65d7_1965_94b1_3010, "mixed workload digest moved: {h:#018x}");
     }
 

@@ -5,10 +5,12 @@
 //! models, an O(1) LRU set for on-chip metadata caches, a splittable
 //! deterministic RNG, and measurement helpers.
 //!
-//! Everything here is pure computation over integer time — no OS threads,
-//! no wall-clock — so simulation results are bit-for-bit reproducible. The
-//! higher layers ([`memmodel`](https://docs.rs), `rnicsim`, `cluster`)
-//! compose these primitives into hardware models.
+//! Simulation state is pure computation over integer time — no wall-clock
+//! and no shared mutable state — so results are bit-for-bit reproducible.
+//! The one use of OS threads is [`opcount::par_map`], which runs
+//! independent simulations side by side and merges their results (and op
+//! counts) in input order. The higher layers ([`memmodel`](https://docs.rs),
+//! `rnicsim`, `cluster`) compose these primitives into hardware models.
 //!
 //! ## Example
 //!
@@ -30,20 +32,20 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod fnv;
 pub mod lru;
 pub mod opcount;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod wheel;
 
 pub use events::EventQueue;
+pub use fnv::Fnv64;
 pub use lru::LruSet;
 pub use resource::{BandwidthLink, KServer};
 pub use rng::SimRng;
-pub use shard::{run_sharded, CrossMsg, Lookahead, ShardRun, ShardWorker};
 pub use stats::{LatencyHistogram, LatencySeries, Meter, Series, Summary};
 pub use time::{mops, ps_per_byte_gbps, ps_per_byte_gbs, service_time_for_mops, SimTime};
 pub use wheel::TimingWheel;

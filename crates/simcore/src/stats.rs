@@ -1,5 +1,6 @@
 //! Measurement utilities: latency summaries and throughput meters.
 
+use crate::fnv::Fnv64;
 use crate::time::{mops, SimTime};
 
 /// Order statistics and moments over a set of latency samples.
@@ -237,18 +238,12 @@ impl LatencyHistogram {
     /// equal iff every bucket count and moment matches — the determinism
     /// gate compares these across serial/parallel/sharded runs.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.count);
-        eat(self.sum_ps as u64);
-        eat((self.sum_ps >> 64) as u64);
-        eat(self.min_ps);
-        eat(self.max_ps);
+        let mut h = Fnv64::new();
+        h.u64(self.count)
+            .u64(self.sum_ps as u64)
+            .u64((self.sum_ps >> 64) as u64)
+            .u64(self.min_ps)
+            .u64(self.max_ps);
         // Trailing zero buckets don't alter the digest, so histograms that
         // differ only in allocated capacity digest equal.
         let mut last = self.counts.len();
@@ -256,9 +251,9 @@ impl LatencyHistogram {
             last -= 1;
         }
         for &c in &self.counts[..last] {
-            eat(c);
+            h.u64(c);
         }
-        h
+        h.finish()
     }
 }
 

@@ -21,7 +21,7 @@
 use crate::arrivals::{ArrivalGen, ArrivalProcess};
 use crate::sweep::{find_knee_with, Knee, SweepPoint};
 use cluster::{ClusterConfig, Pinned, Testbed};
-use simcore::{LatencyHistogram, SimRng, SimTime};
+use simcore::{Fnv64, LatencyHistogram, SimRng, SimTime};
 use txn::{
     build_pod, gen_request, Concurrency, ConflictGeometry, Scheduler, ServiceConfig, TenantSpec,
     TenantStats, TxnProfile, TxnService, TxnStats,
@@ -65,7 +65,7 @@ pub struct TxnTrafficConfig {
     pub warmup: SimTime,
     /// Run seed; tenant streams split from it.
     pub seed: u64,
-    /// Shard count for the conservative-parallel run (1 = serial).
+    /// Shard count for the partitioned parallel run (1 = serial).
     pub shards: usize,
 }
 
@@ -144,19 +144,12 @@ impl TxnReport {
     /// Determinism token: latency buckets + abort accounting, folded in
     /// tenant order.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.hist.digest());
-        eat(self.stats.digest());
+        let mut h = Fnv64::new();
+        h.u64(self.hist.digest()).u64(self.stats.digest());
         for t in &self.tenants {
-            eat(t.digest());
+            h.u64(t.digest());
         }
-        h
+        h.finish()
     }
 }
 

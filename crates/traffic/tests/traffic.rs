@@ -25,7 +25,7 @@ fn every_mode_is_byte_identical_for_every_app_and_variant() {
             let serial = run_traffic(&base);
             assert!(serial.ops > 0, "{}: no samples", app.name());
 
-            // Parallel conservative engine (shards > 1 with enough pods).
+            // Sharded engine (shards > 1 with enough pods).
             let sharded = run_traffic(&TrafficConfig { shards: 2, ..base.clone() });
             assert_eq!(
                 serial.hist.digest(),

@@ -204,7 +204,7 @@ impl TxnStats {
     /// FNV-1a digest over every counter — the determinism token for
     /// abort/retry accounting (serial vs sharded runs must agree).
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
+        let mut h = simcore::Fnv64::new();
         for v in [
             self.commits,
             self.aborts,
@@ -215,12 +215,9 @@ impl TxnStats {
             self.cas_retries,
             self.verbs,
         ] {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
+            h.u64(v);
         }
-        h
+        h.finish()
     }
 
     /// Aborts per commit (0 when nothing committed).

@@ -42,7 +42,7 @@ use crate::protocol::{
 use crate::table::TxnTable;
 use cluster::{ConnId, Step, Testbed};
 use rnicsim::MrId;
-use simcore::{LatencyHistogram, Meter, SimRng, SimTime};
+use simcore::{Fnv64, LatencyHistogram, Meter, SimRng, SimTime};
 use std::collections::VecDeque;
 
 /// Scheduling discipline for the shared QP pool.
@@ -135,14 +135,11 @@ impl TenantStats {
 
     /// Combined determinism token: latency buckets + abort accounting.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
+        let mut h = Fnv64::new();
         for v in [self.hist.digest(), self.txn.digest(), self.admitted, self.completed] {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
+            h.u64(v);
         }
-        h
+        h.finish()
     }
 }
 
@@ -253,14 +250,11 @@ impl TxnService {
     /// Digest over all tenants, in tenant order — the service-level
     /// determinism token.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
+        let mut h = Fnv64::new();
         for t in &self.tenants {
-            for b in t.stats.digest().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
+            h.u64(t.stats.digest());
         }
-        h
+        h.finish()
     }
 
     fn admit(&mut self, now: SimTime) {

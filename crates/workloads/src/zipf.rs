@@ -183,12 +183,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
 /// FNV-1a 64-bit hash of a u64, used for key scrambling and shuffle
 /// destination hashing.
 pub fn fnv64(x: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in x.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    simcore::Fnv64::new().u64(x).finish()
 }
 
 #[cfg(test)]

@@ -19,6 +19,17 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== bench binaries build =="
 cargo build --benches --release --offline
 
+echo "== benchmark tests (perfbench builds against the workspace crates by path) =="
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark smoke run (fleet-verbs 1 s: pinned sharded sim_ops, digests, MTT/QPC counts) =="
+last=$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload fleet-verbs --seed 42 --seconds 1 --trace 0 | tail -n 1)
+case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench fleet-verbs is not correct: $last" >&2; exit 1 ;;
+esac
+
 echo "== determinism check (3-way: serial vs parallel vs sharded) =="
 # The gate's id set includes fig6-xxl: a small-scale fleet sweep whose
 # rendered notes carry the sparse pool's resident-page digests, so all
