@@ -454,14 +454,13 @@ pub fn run_hashtable_debug(cfg: &HtConfig) -> (HtReport, Testbed) {
         write_fraction: cfg.write_fraction,
         zipf_theta: 0.99,
     };
-    let probe_stream = KvStream::new(spec.clone(), SimRng::new(cfg.seed));
     // Interleave hotness ranks across blocks so the very hottest keys do
     // not all contend for one block's lock: rank r lands in block
     // (r % num_blocks), slot (r / num_blocks).
     let hot_slots = hot_keys.next_multiple_of(BLOCK_ENTRIES);
     let num_blocks = (hot_slots / BLOCK_ENTRIES).max(1);
     let mut hot_map = HashMap::new();
-    for (rank, key) in probe_stream.hot_keys(hot_keys as usize).into_iter().enumerate() {
+    for (rank, key) in spec.hot_keys(hot_keys as usize).into_iter().enumerate() {
         let rank = rank as u64;
         // Alternate sockets by rank parity, then interleave across blocks,
         // so neither a socket nor a single block absorbs the whole head.
@@ -482,6 +481,7 @@ pub fn run_hashtable_debug(cfg: &HtConfig) -> (HtReport, Testbed) {
         lock_time: SimTime::ZERO,
     }));
     let root_rng = SimRng::new(cfg.seed);
+    let zipf = spec.zipf();
 
     let mut clients: Vec<Box<dyn Client>> = Vec::new();
     let lanes = cfg.front_ends * cfg.pipeline_depth.max(1);
@@ -516,7 +516,7 @@ pub fn run_hashtable_debug(cfg: &HtConfig) -> (HtReport, Testbed) {
             socket,
             conns,
             variant: cfg.variant,
-            stream: KvStream::new(spec.clone(), root_rng.split(lane as u64 + 1)),
+            stream: KvStream::new(spec.clone(), &zipf, root_rng.split(lane as u64 + 1)),
             staging,
             shadow,
             tables: Rc::clone(&tables),
@@ -668,7 +668,8 @@ pub fn verify_hashtable_contents(keys_to_check: u64) -> bool {
     ];
     let staging = tb.register(0, 0, 4096);
     let spec = KvSpec { keys: cfg.keys, value_len: cfg.value_len, ..Default::default() };
-    let mut stream = KvStream::new(spec, SimRng::new(7));
+    let zipf = spec.zipf();
+    let mut stream = KvStream::new(spec, &zipf, SimRng::new(7));
     let mut written = HashMap::new();
     let mut t = SimTime::ZERO;
     for _ in 0..cfg.ops_per_fe {

@@ -27,6 +27,7 @@ use crate::engine::{AppKind, Driver, TrafficConfig};
 use cluster::{ClusterConfig, ConnId, Endpoint, Testbed};
 use rnicsim::{CqeStatus, MrId, QpNum, RKey, Sge, VerbKind, WorkRequest, WrId};
 use simcore::{SimRng, SimTime};
+use std::sync::Arc;
 use workloads::{fnv64, ZipfAlias, HEADER_BYTES};
 
 /// Hashtable: key-space size (slots are [`apps::hashtable::SLOT_BYTES`]).
@@ -128,7 +129,7 @@ pub struct HtDriver {
     shadow: [MrId; 2],
     table: [MrId; 2],
     hot: [MrId; 2],
-    zipf: ZipfAlias,
+    zipf: Arc<ZipfAlias>,
     rng: SimRng,
     ipc_hop: SimTime,
     block_counts: Vec<u32>,
@@ -292,7 +293,7 @@ pub struct JoinDriver {
     conn: ConnId,
     staging: MrId,
     tuples: RKey,
-    zipf: ZipfAlias,
+    zipf: Arc<ZipfAlias>,
     rng: SimRng,
     pending: Vec<(SimTime, u64)>,
 }
@@ -428,6 +429,14 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
         ArrivalProcessChoice::Poisson(rate)
     };
     let ring_bytes = RING_BLOCKS * BLOCK_ENTRIES * SLOT_BYTES;
+    // One key table for the whole cluster (a config runs one app, so one
+    // size), shared read-only; each worker draws with its own RNG split.
+    let mut zipf: Option<Arc<ZipfAlias>> = None;
+    let mut shared_zipf = |n: u64| {
+        let table = zipf.get_or_insert_with(|| Arc::new(ZipfAlias::paper(n)));
+        assert_eq!(table.n(), n, "one key table per build");
+        Arc::clone(table)
+    };
     let mut workers = Vec::with_capacity(cfg.workers());
     for pod in 0..cfg.pods {
         let client = pod * 2;
@@ -469,7 +478,7 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
                         shadow,
                         table,
                         hot,
-                        zipf: ZipfAlias::paper(HT_KEYS),
+                        zipf: shared_zipf(HT_KEYS),
                         rng: root.split(2000 + widx as u64),
                         ipc_hop: remem::DEFAULT_IPC_HOP,
                         block_counts: vec![0; 2 * RING_BLOCKS as usize],
@@ -496,7 +505,7 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
                         conn,
                         staging,
                         tuples: rkey(tuples),
-                        zipf: ZipfAlias::paper(JOIN_TUPLES),
+                        zipf: shared_zipf(JOIN_TUPLES),
                         rng: root.split(2000 + widx as u64),
                         pending: Vec::new(),
                     })
@@ -710,4 +719,42 @@ pub fn verb_program(app: AppKind, optimized: bool) -> verbcheck::VerbProgram {
         }
     }
     p
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key_table(worker: &OpenLoopWorker) -> &Arc<ZipfAlias> {
+        match &worker.driver {
+            AppDriver::Hashtable(d) => &d.zipf,
+            AppDriver::Join(d) => &d.zipf,
+            AppDriver::Shuffle(_) | AppDriver::Dlog(_) => panic!("this app draws no keys"),
+        }
+    }
+
+    /// `build` makes one key table per run and every worker holds it:
+    /// a per-worker table would cost a copy per worker for identical draws.
+    #[test]
+    fn every_worker_shares_one_key_table() {
+        for (app, keys) in [(AppKind::Hashtable, HT_KEYS), (AppKind::Join, JOIN_TUPLES)] {
+            for optimized in [false, true] {
+                let cfg = TrafficConfig {
+                    app,
+                    optimized,
+                    pods: 8,
+                    workers_per_pod: 4,
+                    ..Default::default()
+                };
+                let (_tb, workers) = build(&cfg);
+                assert_eq!(workers.len(), cfg.workers());
+                let first = key_table(&workers[0].1);
+                assert_eq!(first.n(), keys);
+                for (_, w) in &workers {
+                    assert!(Arc::ptr_eq(first, key_table(w)), "{} has a private table", app.name());
+                }
+                assert_eq!(Arc::strong_count(first), cfg.workers());
+            }
+        }
+    }
 }

@@ -174,7 +174,7 @@ pub struct WorkerStats {
 
 /// An open-loop client: one driver + one arrival stream + its stats.
 pub struct OpenLoopWorker {
-    driver: AppDriver,
+    pub(crate) driver: AppDriver,
     gen: ArrivalGen,
     next_at: SimTime,
     remaining: u64,

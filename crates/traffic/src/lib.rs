@@ -23,7 +23,9 @@
 //! * [`apps`] — open-loop drivers for the four case-study apps (hashtable,
 //!   shuffle, join-probe, dlog-append), each in a `basic` and an
 //!   `optimized` (paper-guideline) variant, drawing keys from the O(1)
-//!   [`workloads::ZipfAlias`] sampler.
+//!   [`workloads::ZipfAlias`] sampler. [`apps::build`] makes one alias
+//!   table per run and shares it read-only among all workers; each worker
+//!   draws with its own RNG split, so sharing moves no draw.
 //! * [`sweep`] — offered-load sweeps and the knee finder: the maximum
 //!   offered load whose p99 stays within an app-specific SLO.
 //!

@@ -63,6 +63,17 @@ impl KvSpec {
     pub fn ycsb_c(keys: u64) -> Self {
         KvSpec { keys, write_fraction: 0.0, ..Default::default() }
     }
+
+    /// Build the key distribution. Every [`KvStream`] of a run shares one.
+    pub fn zipf(&self) -> Zipf {
+        Zipf::new(self.keys, self.zipf_theta)
+    }
+
+    /// The `k` hottest keys (by scrambled id) — what a front-end promotes
+    /// into the hot area. Computed analytically from the zipf ranking.
+    pub fn hot_keys(&self, k: usize) -> Vec<u64> {
+        (0..k as u64).map(|rank| crate::zipf::fnv64(rank) % self.keys).collect()
+    }
 }
 
 /// A deterministic stream of KV operations.
@@ -73,10 +84,14 @@ pub struct KvStream {
 }
 
 impl KvStream {
-    /// Build a stream; `rng` should be a per-client split of the run seed.
-    pub fn new(spec: KvSpec, rng: SimRng) -> Self {
-        let zipf = Zipf::new(spec.keys, spec.zipf_theta);
-        KvStream { spec, zipf, rng }
+    /// Build a stream over `zipf`, the run's [`KvSpec::zipf`]; `rng`
+    /// should be a per-client split of the run seed.
+    pub fn new(spec: KvSpec, zipf: &Zipf, rng: SimRng) -> Self {
+        assert!(
+            zipf.n() == spec.keys && zipf.theta() == spec.zipf_theta,
+            "zipf table does not match the spec"
+        );
+        KvStream { spec, zipf: zipf.clone(), rng }
     }
 
     /// The spec this stream was built from.
@@ -92,12 +107,6 @@ impl KvStream {
         } else {
             KvOp::Get { key }
         }
-    }
-
-    /// The `k` hottest keys (by scrambled id) — what a front-end promotes
-    /// into the hot area. Computed analytically from the zipf ranking.
-    pub fn hot_keys(&self, k: usize) -> Vec<u64> {
-        (0..k as u64).map(|rank| crate::zipf::fnv64(rank) % self.spec.keys).collect()
     }
 }
 
@@ -116,9 +125,15 @@ pub fn value_for(key: u64, len: usize) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// A stream over its own freshly built table.
+    fn stream(spec: KvSpec, rng: SimRng) -> KvStream {
+        let zipf = spec.zipf();
+        KvStream::new(spec, &zipf, rng)
+    }
+
     #[test]
     fn all_write_workload_yields_only_inserts() {
-        let mut s = KvStream::new(KvSpec::default(), SimRng::new(1));
+        let mut s = stream(KvSpec::default(), SimRng::new(1));
         for _ in 0..100 {
             assert!(matches!(s.next_op(), KvOp::Insert { .. }));
         }
@@ -127,7 +142,7 @@ mod tests {
     #[test]
     fn mixed_workload_respects_write_fraction() {
         let spec = KvSpec { write_fraction: 0.3, ..Default::default() };
-        let mut s = KvStream::new(spec, SimRng::new(2));
+        let mut s = stream(spec, SimRng::new(2));
         let writes = (0..10_000).filter(|_| matches!(s.next_op(), KvOp::Insert { .. })).count();
         let frac = writes as f64 / 10_000.0;
         assert!((frac - 0.3).abs() < 0.03, "write fraction {frac}");
@@ -146,12 +161,11 @@ mod tests {
     #[test]
     fn hot_keys_match_the_stream_head() {
         let spec = KvSpec::default();
-        let s = KvStream::new(spec.clone(), SimRng::new(3));
-        let hot = s.hot_keys(16);
+        let hot = spec.hot_keys(16);
         assert_eq!(hot.len(), 16);
         // The hottest key (rank 0 scrambled) must be among the most
         // frequently drawn keys of a long stream.
-        let mut s2 = KvStream::new(spec, SimRng::new(4));
+        let mut s2 = stream(spec, SimRng::new(4));
         let mut counts = std::collections::HashMap::new();
         for _ in 0..50_000 {
             *counts.entry(s2.next_op().key()).or_insert(0u64) += 1;
@@ -165,7 +179,7 @@ mod tests {
         assert_eq!(KvSpec::ycsb_a(100).write_fraction, 0.5);
         assert_eq!(KvSpec::ycsb_b(100).write_fraction, 0.05);
         assert_eq!(KvSpec::ycsb_c(100).write_fraction, 0.0);
-        let mut s = KvStream::new(KvSpec::ycsb_c(100), SimRng::new(1));
+        let mut s = stream(KvSpec::ycsb_c(100), SimRng::new(1));
         for _ in 0..50 {
             assert!(matches!(s.next_op(), KvOp::Get { .. }));
         }
@@ -174,9 +188,32 @@ mod tests {
     #[test]
     fn key_space_is_respected() {
         let spec = KvSpec { keys: 100, ..Default::default() };
-        let mut s = KvStream::new(spec, SimRng::new(5));
+        let mut s = stream(spec, SimRng::new(5));
         for _ in 0..1000 {
             assert!(s.next_op().key() < 100);
         }
+    }
+
+    /// Two streams sharing one table draw, interleaved, the same ops as
+    /// two streams that each built their own.
+    #[test]
+    fn streams_sharing_one_table_draw_like_private_tables() {
+        let spec = KvSpec { keys: 1 << 12, write_fraction: 0.5, ..Default::default() };
+        let root = SimRng::new(0x4B56);
+        let zipf = spec.zipf();
+        let mut shared = [1, 2].map(|i| KvStream::new(spec.clone(), &zipf, root.split(i)));
+        let mut private = [1, 2].map(|i| stream(spec.clone(), root.split(i)));
+        for _ in 0..10_000 {
+            for (a, b) in shared.iter_mut().zip(private.iter_mut()) {
+                assert_eq!(a.next_op(), b.next_op());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn a_table_of_another_key_space_is_rejected() {
+        let zipf = KvSpec { keys: 100, ..Default::default() }.zipf();
+        KvStream::new(KvSpec { keys: 200, ..Default::default() }, &zipf, SimRng::new(1));
     }
 }

@@ -9,6 +9,10 @@
 use simcore::SimRng;
 
 /// Zipfian generator over ranks `0..n` with skew `theta`.
+///
+/// Construction sums `ζ_n` in O(n) `powf` calls; draws only read the
+/// precomputed constants. A run builds one generator per key space and
+/// every stream over that space clones it.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     n: u64,
@@ -16,7 +20,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -29,7 +32,7 @@ impl Zipf {
         let zeta2 = zeta(2.min(n), theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Zipf { n, theta, alpha, zetan, eta, zeta2 }
+        Zipf { n, theta, alpha, zetan, eta }
     }
 
     /// The paper's configuration: skew 0.99.
@@ -40,6 +43,11 @@ impl Zipf {
     /// Number of items.
     pub fn n(&self) -> u64 {
         self.n
+    }
+
+    /// Skew parameter.
+    pub fn theta(&self) -> f64 {
+        self.theta
     }
 
     /// Draw a rank in `0..n`; rank 0 is the hottest.
@@ -67,11 +75,6 @@ impl Zipf {
     pub fn head_mass(&self, k: u64) -> f64 {
         zeta(k.min(self.n), self.theta) / self.zetan
     }
-
-    /// Unused-but-kept diagnostic: zeta(2).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
 }
 
 /// O(1)-per-draw Zipfian sampler via a precomputed alias table
@@ -81,8 +84,12 @@ impl Zipf {
 /// The CDF-based [`Zipf`] draws one uniform and pays two `powf` calls per
 /// rank — fine for thousands of closed-loop ops, hostile to an open-loop
 /// traffic engine drawing a key per arrival at millions of arrivals per
-/// run. The alias table costs O(n) floats at construction and then one
-/// `gen_range` + one `gen_f64` compare per draw, no transcendentals.
+/// run. The alias table costs O(n) `powf` calls and 12 bytes per rank to
+/// build, then one `gen_range` + one `gen_f64` compare per draw, no
+/// transcendentals. The table is a pure function of `(n, θ)` and draws
+/// only read it, so a run builds one table per size and shares it
+/// read-only (behind an `Arc`) among all its workers; each worker keeps
+/// its own RNG, so sharing leaves every draw sequence unchanged.
 ///
 /// This is a *separate sampler with its own draw sequence*, not a drop-in
 /// for `Zipf::rank` (the two consume randomness differently). The committed
@@ -273,6 +280,26 @@ mod tests {
             assert_eq!(r, z.rank(&mut b));
             assert!(z.scrambled_key(&mut a) < 1000);
             z.scrambled_key(&mut b);
+        }
+    }
+
+    /// Two consumers of one shared alias table draw, interleaved, the
+    /// same sequences as two consumers that each built their own.
+    #[test]
+    fn shared_alias_table_draws_like_private_tables() {
+        let shared = std::sync::Arc::new(ZipfAlias::paper(4096));
+        let consumers = [std::sync::Arc::clone(&shared), std::sync::Arc::clone(&shared)];
+        let private = [ZipfAlias::paper(4096), ZipfAlias::paper(4096)];
+        let root = SimRng::new(0x5A4E);
+        let mut shared_rngs = [root.split(1), root.split(2)];
+        let mut private_rngs = [root.split(1), root.split(2)];
+        for _ in 0..10_000 {
+            for c in 0..2 {
+                assert_eq!(
+                    consumers[c].scrambled_key(&mut shared_rngs[c]),
+                    private[c].scrambled_key(&mut private_rngs[c])
+                );
+            }
         }
     }
 

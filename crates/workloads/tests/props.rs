@@ -60,7 +60,8 @@ fn kv_stream_ops_in_range() {
         let seed = meta.next_u64();
         let frac = meta.gen_range(1_000_001) as f64 / 1_000_000.0;
         let spec = KvSpec { keys: 500, write_fraction: frac, ..Default::default() };
-        let mut s = KvStream::new(spec, SimRng::new(seed));
+        let zipf = spec.zipf();
+        let mut s = KvStream::new(spec, &zipf, SimRng::new(seed));
         for _ in 0..200 {
             match s.next_op() {
                 KvOp::Insert { key, value } => {

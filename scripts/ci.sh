@@ -30,6 +30,14 @@ case "$last" in
     *) echo "perfbench fleet-verbs is not correct: $last" >&2; exit 1 ;;
 esac
 
+echo "== benchmark smoke run (openloop 1 s: pinned traffic and txn digests prove the key draws did not move) =="
+last=$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload openloop --seed 42 --seconds 1 --trace 0 | tail -n 1)
+case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench openloop is not correct: $last" >&2; exit 1 ;;
+esac
+
 echo "== determinism check (3-way: serial vs parallel vs sharded) =="
 # The gate's id set includes fig6-xxl: a small-scale fleet sweep whose
 # rendered notes carry the sparse pool's resident-page digests, so all

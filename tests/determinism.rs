@@ -68,14 +68,15 @@ fn rng_streams_are_interleaving_independent() {
     use rdma_memsem::sim::SimRng;
     let root = SimRng::new(42);
     let spec = KvSpec { keys: 1 << 12, ..Default::default() };
+    let zipf = spec.zipf();
     let a: Vec<u64> = {
-        let mut s = KvStream::new(spec.clone(), root.split(1));
+        let mut s = KvStream::new(spec.clone(), &zipf, root.split(1));
         (0..100).map(|_| s.next_op().key()).collect()
     };
     // "Recreate the world" with more clients; stream 1 is untouched.
     let b: Vec<u64> = {
-        let _other = KvStream::new(spec.clone(), root.split(2));
-        let mut s = KvStream::new(spec, root.split(1));
+        let _other = KvStream::new(spec.clone(), &zipf, root.split(2));
+        let mut s = KvStream::new(spec, &zipf, root.split(1));
         (0..100).map(|_| s.next_op().key()).collect()
     };
     assert_eq!(a, b);
