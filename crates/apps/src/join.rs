@@ -126,6 +126,8 @@ struct PartitionExecutor {
     verify: bool,
     pending: Vec<Vec<u64>>,
     pending_kind: Vec<Vec<bool>>,
+    /// One relation's gather list, reused by every flush.
+    sges: Vec<Sge>,
     conns: Vec<Option<ConnId>>,
     /// Per-consumer (inner slab region+offset, outer slab region+offset).
     slabs: Vec<[(MrId, u64); 2]>,
@@ -151,18 +153,19 @@ impl PartitionExecutor {
     }
 
     fn flush(&mut self, tb: &mut Testbed, now: SimTime, dest: usize) -> SimTime {
-        let offsets = std::mem::take(&mut self.pending[dest]);
-        let kinds = std::mem::take(&mut self.pending_kind[dest]);
+        let bufs = &mut self.sges;
         let mut done = now;
         // Split by relation so each lands in its own slab (build side must
         // be separable from probe side at the consumer).
         for rel in 0..2usize {
-            let bufs: Vec<Sge> = offsets
-                .iter()
-                .zip(&kinds)
-                .filter(|(_, &k)| (k as usize) == rel)
-                .map(|(&o, _)| Sge::new(self.input, o, self.tuple_bytes))
-                .collect();
+            bufs.clear();
+            bufs.extend(
+                self.pending[dest]
+                    .iter()
+                    .zip(&self.pending_kind[dest])
+                    .filter(|(_, &k)| (k as usize) == rel)
+                    .map(|(&o, _)| Sge::new(self.input, o, self.tuple_bytes)),
+            );
             if bufs.is_empty() {
                 continue;
             }
@@ -172,7 +175,7 @@ impl PartitionExecutor {
                 None => {
                     let mut t = now;
                     let mut cursor = off;
-                    for sge in &bufs {
+                    for sge in bufs.iter() {
                         tb.machine_mut(self.machine)
                             .mem
                             .copy_within(sge.mr, sge.offset, region, cursor, sge.len);
@@ -189,7 +192,7 @@ impl PartitionExecutor {
                         now,
                         conn,
                         self.strategy,
-                        &bufs,
+                        bufs,
                         Some(self.staging),
                         &RemoteDst::Contiguous(RKey(region.0 as u64), off),
                     );
@@ -208,6 +211,8 @@ impl PartitionExecutor {
             }
             done = done.max(t);
         }
+        self.pending[dest].clear();
+        self.pending_kind[dest].clear();
         done
     }
 }
@@ -406,6 +411,7 @@ pub fn run_join(cfg: &JoinConfig) -> JoinReport {
             verify: cfg.verify,
             pending: vec![Vec::new(); cfg.executors],
             pending_kind: vec![Vec::new(); cfg.executors],
+            sges: Vec::new(),
             conns,
             slabs,
             counts: Rc::clone(&counts),

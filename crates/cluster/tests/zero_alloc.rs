@@ -166,6 +166,44 @@ fn steady_state_doorbell_batches_do_not_allocate() {
     assert_eq!(after - before, 0, "doorbell batch path allocated {} times", after - before);
 }
 
+/// Posts from staggered clients reach the NIC out of ready-time order:
+/// each round posts the client furthest ahead first, so later posts fill
+/// gaps before the timelines' tails, and think time between a client's
+/// verbs keeps the calendars fragmented at their interval cap. The
+/// resource timelines' first-fit insert and oldest-interval eviction stay
+/// off the heap once the calendars have grown to the cap.
+#[test]
+fn steady_state_out_of_order_posts_do_not_allocate() {
+    const CLIENTS: u64 = 4;
+    let mut tb = Testbed::new(ClusterConfig::two_machines());
+    let src = tb.register(0, 1, 1 << 16);
+    let dst = tb.register(1, 1, 1 << 16);
+    let rkey = RKey(dst.0 as u64);
+    let conns: Vec<_> =
+        (0..CLIENTS).map(|_| tb.connect(Endpoint::affine(0, 1), Endpoint::affine(1, 1))).collect();
+    let mut wr = WorkRequest::write(0, Sge::new(src, 0, 256), rkey, 0);
+    // Client c starts 700 ns behind client c + 1.
+    let mut clocks: Vec<SimTime> = (0..CLIENTS).map(|c| SimTime::from_ns(700 * c)).collect();
+    let mut id = 0u64;
+    let mut rounds = |tb: &mut Testbed, n: usize| {
+        for _ in 0..n {
+            for c in (0..CLIENTS as usize).rev() {
+                wr.wr_id = WrId(id);
+                wr.remote = Some((rkey, (id % 64) * 512));
+                id += 1;
+                let done = tb.post_one_ref(clocks[c], conns[c], &wr).at;
+                clocks[c] = done + SimTime::from_ns(150 + 50 * c as u64);
+            }
+        }
+    };
+    rounds(&mut tb, 400);
+
+    let before = allocs();
+    rounds(&mut tb, 200);
+    let after = allocs();
+    assert_eq!(after - before, 0, "out-of-order post path allocated {} times", after - before);
+}
+
 /// Steady-state *reads* of the sparse pool are allocation-free too: the
 /// zero-page fast path, `read_into` into grown scratch, `read_view`,
 /// `copy_within`, and `load_u64` must all stay off the heap once buffers

@@ -19,10 +19,13 @@
 //! head-of-line-block everyone else's present.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// How many discrete busy intervals a timeline tracks before the oldest
-/// are collapsed into the "past" floor. Saturated resources merge their
-/// back-to-back bookings into few intervals, so this bound is rarely hit.
+/// are collapsed into the "past" floor. Pipelined verbs book each
+/// resource a little ahead of the last booking, so busy timelines sit at
+/// this bound almost permanently: every append past it evicts the oldest
+/// interval, which is why `busy` is a ring.
 const MAX_INTERVALS: usize = 64;
 
 /// A single service unit's busy calendar.
@@ -30,11 +33,23 @@ const MAX_INTERVALS: usize = 64;
 struct Timeline {
     /// Everything before this instant is unavailable (collapsed history).
     floor: SimTime,
-    /// Sorted, disjoint busy intervals at or after `floor`.
-    busy: Vec<(SimTime, SimTime)>,
+    /// Sorted, disjoint busy intervals at or after `floor`, held in a ring
+    /// so that evicting the oldest at the cap is O(1).
+    busy: VecDeque<(SimTime, SimTime)>,
 }
 
 impl Timeline {
+    /// Index of the first interval that can host or delay a request
+    /// starting no earlier than `start`. Intervals ending strictly before
+    /// `start` can do neither, and ends are non-decreasing, so they form a
+    /// prefix. The comparison is strict so that the first fit lands on the
+    /// linear scan's index: a zero-length request at `start` goes before a
+    /// zero-length `(start, start)` interval, not after it. (Either index
+    /// merges into the same calendar; the strict form needs no such proof.)
+    fn first_relevant(&self, start: SimTime) -> usize {
+        self.busy.partition_point(|&(_, e)| e < start)
+    }
+
     /// Book `service` starting no earlier than `ready`, using the first
     /// idle gap that fits. Returns `(start, end)`.
     fn book(&mut self, ready: SimTime, service: SimTime) -> (SimTime, SimTime) {
@@ -43,9 +58,9 @@ impl Timeline {
         // interval can never fit an earlier gap, so it appends (merging
         // with a touching tail). Simulation time mostly moves forward, so
         // this is the overwhelmingly common case — O(1) instead of a scan.
-        match self.busy.last_mut() {
+        match self.busy.back_mut() {
             None => {
-                self.busy.push((start, start + service));
+                self.busy.push_back((start, start + service));
                 return (start, start + service);
             }
             Some(last) if start >= last.1 => {
@@ -53,21 +68,19 @@ impl Timeline {
                 if start == last.1 {
                     last.1 = end;
                 } else {
-                    self.busy.push((start, end));
-                    if self.busy.len() > MAX_INTERVALS {
-                        let (_, e0) = self.busy.remove(0);
-                        self.floor = self.floor.max(e0);
-                    }
+                    self.busy.push_back((start, end));
+                    self.evict_over_cap();
                 }
                 return (start, end);
             }
             _ => {}
         }
+        let first = self.first_relevant(start);
         let mut idx = self.busy.len();
-        for (i, &(s, e)) in self.busy.iter().enumerate() {
+        for (i, &(s, e)) in self.busy.range(first..).enumerate() {
             if start + service <= s {
-                // Fits entirely in the gap before interval i.
-                idx = i;
+                // Fits entirely in the gap before interval `first + i`.
+                idx = first + i;
                 break;
             }
             start = start.max(e);
@@ -85,16 +98,23 @@ impl Timeline {
             (false, true) => self.busy[idx].0 = start,
             (false, false) => self.busy.insert(idx, (start, end)),
         }
+        // Evict only after inserting: the new interval may itself be the
+        // oldest, and then it is the one collapsed into the floor.
+        self.evict_over_cap();
+        (start, end)
+    }
+
+    /// Collapse the oldest interval into the floor once over the cap.
+    fn evict_over_cap(&mut self) {
         if self.busy.len() > MAX_INTERVALS {
-            let (_, e0) = self.busy.remove(0);
+            let (_, e0) = self.busy.pop_front().expect("over the cap, so non-empty");
             self.floor = self.floor.max(e0);
         }
-        (start, end)
     }
 
     /// Earliest instant at which the start of the calendar has a gap.
     fn earliest_free(&self) -> SimTime {
-        match self.busy.first() {
+        match self.busy.front() {
             Some(&(s, e)) if s <= self.floor => e,
             _ => self.floor,
         }
@@ -104,12 +124,12 @@ impl Timeline {
     fn probe(&self, ready: SimTime, service: SimTime) -> SimTime {
         let mut start = ready.max(self.floor);
         // Tail fast path mirroring `book`.
-        match self.busy.last() {
+        match self.busy.back() {
             None => return start,
             Some(&(_, e)) if start >= e => return start,
             _ => {}
         }
-        for &(s, e) in &self.busy {
+        for &(s, e) in self.busy.range(self.first_relevant(start)..) {
             if start + service <= s {
                 break;
             }
@@ -238,6 +258,7 @@ impl BandwidthLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use crate::time::ps_per_byte_gbps;
 
     #[test]
@@ -313,13 +334,22 @@ mod tests {
     #[test]
     fn interval_cap_collapses_history_not_future() {
         let mut s = KServer::new(1);
-        // Create many disjoint far-apart bookings to exceed the cap.
+        let svc = SimTime::from_ns(10);
+        // 84 disjoint bookings 10 us apart: the 20 oldest, ending at
+        // 10i us + 10 ns for i < 20, are collapsed into the floor.
         for i in 0..(MAX_INTERVALS as u64 + 20) {
-            s.acquire(SimTime::from_us(10 * i), SimTime::from_ns(10));
+            s.acquire(SimTime::from_us(10 * i), svc);
         }
-        // Still functional; earliest_free reflects the collapsed floor.
-        let (start, _) = s.acquire(SimTime::ZERO, SimTime::from_ns(10));
-        assert!(start >= SimTime::ZERO);
+        let floor = SimTime::from_us(190) + svc;
+        assert_eq!(s.earliest_free(), floor);
+        // A request ready at 0 starts at the floor, not before it.
+        assert_eq!(s.acquire(SimTime::ZERO, svc), (floor, floor + svc));
+        // That booking became the oldest of 65 intervals and was itself
+        // collapsed, raising the floor past it.
+        assert_eq!(s.earliest_free(), floor + svc);
+        // The gaps after the floor are still served in ready-time order.
+        let ready = SimTime::from_us(205);
+        assert_eq!(s.acquire(ready, svc), (ready, ready + svc));
     }
 
     #[test]
@@ -358,5 +388,162 @@ mod tests {
         l.transfer(SimTime::ZERO, 1_000_000);
         l.reset();
         assert_eq!(l.transfer(SimTime::ZERO, 1).0, SimTime::ZERO);
+    }
+
+    /// The calendar as a plain sorted `Vec`: a linear first-fit scan and a
+    /// front `remove` at the cap. `Timeline` must match it exactly.
+    #[derive(Clone, Default)]
+    struct VecTimeline {
+        floor: SimTime,
+        busy: Vec<(SimTime, SimTime)>,
+    }
+
+    impl VecTimeline {
+        fn book(&mut self, ready: SimTime, service: SimTime) -> (SimTime, SimTime) {
+            let mut start = ready.max(self.floor);
+            match self.busy.last_mut() {
+                None => {
+                    self.busy.push((start, start + service));
+                    return (start, start + service);
+                }
+                Some(last) if start >= last.1 => {
+                    let end = start + service;
+                    if start == last.1 {
+                        last.1 = end;
+                    } else {
+                        self.busy.push((start, end));
+                        if self.busy.len() > MAX_INTERVALS {
+                            let (_, e0) = self.busy.remove(0);
+                            self.floor = self.floor.max(e0);
+                        }
+                    }
+                    return (start, end);
+                }
+                _ => {}
+            }
+            let mut idx = self.busy.len();
+            for (i, &(s, e)) in self.busy.iter().enumerate() {
+                if start + service <= s {
+                    idx = i;
+                    break;
+                }
+                start = start.max(e);
+            }
+            let end = start + service;
+            let merged_prev = idx > 0 && self.busy[idx - 1].1 == start;
+            let merged_next = idx < self.busy.len() && self.busy[idx].0 == end;
+            match (merged_prev, merged_next) {
+                (true, true) => {
+                    self.busy[idx - 1].1 = self.busy[idx].1;
+                    self.busy.remove(idx);
+                }
+                (true, false) => self.busy[idx - 1].1 = end,
+                (false, true) => self.busy[idx].0 = start,
+                (false, false) => self.busy.insert(idx, (start, end)),
+            }
+            if self.busy.len() > MAX_INTERVALS {
+                let (_, e0) = self.busy.remove(0);
+                self.floor = self.floor.max(e0);
+            }
+            (start, end)
+        }
+
+        fn earliest_free(&self) -> SimTime {
+            match self.busy.first() {
+                Some(&(s, e)) if s <= self.floor => e,
+                _ => self.floor,
+            }
+        }
+
+        fn probe(&self, ready: SimTime, service: SimTime) -> SimTime {
+            let mut start = ready.max(self.floor);
+            for &(s, e) in &self.busy {
+                if start + service <= s {
+                    break;
+                }
+                start = start.max(e);
+            }
+            start
+        }
+    }
+
+    /// `KServer::acquire` over reference timelines: first minimum wins.
+    fn reference_acquire(
+        units: &mut [VecTimeline],
+        ready: SimTime,
+        service: SimTime,
+    ) -> (SimTime, SimTime) {
+        let idx = (0..units.len())
+            .min_by_key(|&i| units[i].probe(ready, service))
+            .expect("at least one unit");
+        units[idx].book(ready, service)
+    }
+
+    /// A ready time that exercises one path of the calendar: the tail
+    /// (appending, touching or leaving a gap), the past (below the last
+    /// end, often below the floor), a gap edge or interior, or far ahead.
+    fn draw_ready(rng: &mut SimRng, unit: &VecTimeline) -> SimTime {
+        let ns = SimTime::from_ns;
+        let last_end = unit.busy.last().map_or(unit.floor, |&(_, e)| e);
+        match rng.gen_range(10) {
+            0..=2 => last_end + ns(10 * rng.gen_range(4)),
+            3..=4 => SimTime::from_ps(rng.gen_range(last_end.as_ps() + 1)),
+            5..=8 if unit.busy.len() >= 2 => {
+                let i = rng.gen_range(unit.busy.len() as u64 - 1) as usize;
+                let (s, e) = unit.busy[i];
+                let next = unit.busy[i + 1].0;
+                match rng.gen_range(4) {
+                    0 => s,
+                    1 => e,
+                    2 => next,
+                    _ => e + SimTime::from_ps(rng.gen_range((next - e).as_ps() + 1)),
+                }
+            }
+            _ => last_end + ns(rng.gen_range(2_000)),
+        }
+    }
+
+    /// Services: zero, whole 10 ns steps (so bookings touch and merge),
+    /// odd picosecond counts, and the occasional long one.
+    fn draw_service(rng: &mut SimRng) -> SimTime {
+        match rng.gen_range(8) {
+            0..=1 => SimTime::ZERO,
+            2..=5 => SimTime::from_ns(10 * (1 + rng.gen_range(4))),
+            6 => SimTime::from_ps(1 + rng.gen_range(20_000)),
+            _ => SimTime::from_ns(rng.gen_range(3_000)),
+        }
+    }
+
+    #[test]
+    fn timeline_matches_vec_reference_model() {
+        const OPS: u64 = 200_000;
+        for k in [1usize, 2, 4] {
+            let mut rng = SimRng::new(0x7131_11AE ^ k as u64);
+            let mut s = KServer::new(k);
+            let mut reference = vec![VecTimeline::default(); k];
+            let mut longest = 0;
+            for op in 0..OPS {
+                let unit = rng.gen_range(k as u64) as usize;
+                let ready = draw_ready(&mut rng, &reference[unit]);
+                let service = draw_service(&mut rng);
+                let got = s.acquire(ready, service);
+                let want = reference_acquire(&mut reference, ready, service);
+                assert_eq!(got, want, "k={k} op {op}: acquire({ready:?}, {service:?})");
+                for (u, r) in s.units.iter().zip(&reference) {
+                    assert_eq!(u.floor, r.floor, "k={k} op {op}: floor");
+                    assert!(u.busy.iter().eq(&r.busy), "k={k} op {op}: intervals");
+                    assert_eq!(u.earliest_free(), r.earliest_free(), "k={k} op {op}");
+                    let (ready, service) = (draw_ready(&mut rng, r), draw_service(&mut rng));
+                    assert_eq!(u.probe(ready, service), r.probe(ready, service), "k={k} op {op}");
+                    longest = longest.max(r.busy.len());
+                }
+                assert_eq!(
+                    s.earliest_free(),
+                    reference.iter().map(VecTimeline::earliest_free).min().unwrap()
+                );
+            }
+            assert_eq!(longest, MAX_INTERVALS, "k={k}: the cap must be exercised");
+            assert!(reference.iter().all(|r| r.floor > SimTime::ZERO), "k={k}: no eviction");
+        }
     }
 }

@@ -38,6 +38,14 @@ case "$last" in
     *) echo "perfbench openloop is not correct: $last" >&2; exit 1 ;;
 esac
 
+echo "== benchmark smoke run (apps-closed 1 s: pinned join and hashtable results prove the resource calendars did not move) =="
+last=$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload apps-closed --seed 42 --seconds 1 --trace 0 | tail -n 1)
+case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench apps-closed is not correct: $last" >&2; exit 1 ;;
+esac
+
 echo "== determinism check (3-way: serial vs parallel vs sharded) =="
 # The gate's id set includes fig6-xxl: a small-scale fleet sweep whose
 # rendered notes carry the sparse pool's resident-page digests, so all
