@@ -516,7 +516,10 @@ pub fn parse_caps_file(text: &str) -> Result<DeviceCaps, String> {
             .ok_or_else(|| format!("line {}: expected `key = value`, got {:?}", i + 1, line))?;
         let (key, value) = (key.trim(), value.trim());
         let num = |v: &str| {
-            v.parse::<u64>().map_err(|_| format!("line {}: {key} needs a positive integer", i + 1))
+            v.parse::<u64>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("line {}: {key} needs a positive integer", i + 1))
         };
         match key {
             "max_sge" => caps.max_sge = num(value)? as usize,
@@ -772,6 +775,12 @@ mod tests {
         assert!(parse_caps_file("max_sg = 16").unwrap_err().contains("unknown capability key"));
         assert!(parse_caps_file("max_sge 16").unwrap_err().contains("key = value"));
         assert!(parse_caps_file("max_sge = lots").unwrap_err().contains("positive integer"));
+        // Zero is not positive: `page_bytes = 0` would divide by zero in
+        // the analyzer, and a zero depth or cache size is no device.
+        for key in ["max_sge", "sq_depth", "cq_depth", "mtt_cache_entries", "page_bytes"] {
+            let err = parse_caps_file(&format!("{key} = 0")).unwrap_err();
+            assert!(err.contains(&format!("{key} needs a positive integer")), "{err}");
+        }
     }
 
     /// 32 MB random-stride writes: between ConnectX-3's 4 MB MTT

@@ -215,13 +215,14 @@ enum LoadSpec {
 }
 
 /// Parse `--load`: `knee`, a single MOPS value, or `a:b:n` (n loads
-/// linearly spaced from a to b inclusive).
+/// linearly spaced from a to b inclusive). Loads must be finite: an
+/// infinite bound would space the sweep as NaN.
 fn parse_load(spec: &str) -> Option<LoadSpec> {
     if spec == "knee" {
         return Some(LoadSpec::Knee);
     }
     if let Ok(v) = spec.parse::<f64>() {
-        return (v > 0.0).then(|| LoadSpec::Loads(vec![v]));
+        return (v.is_finite() && v > 0.0).then(|| LoadSpec::Loads(vec![v]));
     }
     let parts: Vec<&str> = spec.split(':').collect();
     if parts.len() != 3 {
@@ -230,7 +231,7 @@ fn parse_load(spec: &str) -> Option<LoadSpec> {
     let a = parts[0].parse::<f64>().ok()?;
     let b = parts[1].parse::<f64>().ok()?;
     let n = parts[2].parse::<usize>().ok()?;
-    if a <= 0.0 || b < a || n == 0 {
+    if !(a.is_finite() && b.is_finite()) || a <= 0.0 || b < a || n == 0 {
         return None;
     }
     let loads = if n == 1 {
@@ -613,7 +614,7 @@ fn main() {
                 slo_us = Some(
                     args.next()
                         .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|&v| v > 0.0)
+                        .filter(|&v| v.is_finite() && v > 0.0)
                         .unwrap_or_else(|| {
                             eprintln!("--slo needs a positive p99 bound in microseconds");
                             std::process::exit(2);

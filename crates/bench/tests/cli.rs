@@ -58,3 +58,26 @@ fn check_determinism_keeps_the_jobs_override() {
     assert!(json.contains("\"jobs\": 3,"), "{json}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn zero_caps_values_exit_2() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-caps-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zero.caps");
+    std::fs::write(&path, "page_bytes = 0\n").unwrap();
+    assert_usage_error(
+        &["--lint", "--caps", path.to_str().unwrap(), "all"],
+        "page_bytes needs a positive integer",
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn non_finite_loads_and_slos_exit_2() {
+    for load in ["inf", "NaN", "1:inf:2", "1:nan:2", "-inf:1:2", "inf:inf:2"] {
+        assert_usage_error(&["--traffic", "dlog", "--load", load], "--load needs");
+    }
+    for slo in ["inf", "NaN"] {
+        assert_usage_error(&["--traffic", "dlog", "--slo", slo], "--slo needs");
+    }
+}

@@ -444,6 +444,9 @@ impl MemoryPool {
     /// deterministic function of the written bytes), so this digest is a
     /// determinism gate for fleet-scale memory without walking the full
     /// registered length. Unbacked regions digest to the FNV basis.
+    /// [`Fnv64::bytes`] folds each run of all-zero 64-byte blocks in one
+    /// multiply, so on mostly-zero chunks the digest costs a memory scan
+    /// of the resident bytes rather than a multiply per byte.
     pub fn resident_digest(&self, mr: MrId) -> u64 {
         let mut h = Fnv64::new();
         if let Backing::Sparse(chunks) = &self.expect_region(mr).backing {
@@ -720,5 +723,44 @@ mod tests {
         let a2 = m2.register(0, 4 * CHUNK_BYTES);
         m2.write(a2, CHUNK_BYTES + 5, b"fleet");
         assert_eq!(m2.resident_digest(a2), one);
+    }
+
+    #[test]
+    fn resident_digest_is_the_bytewise_fold_of_materialized_chunks() {
+        // Reference model: plain byte-wise FNV-1a.
+        fn bytewise(h: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+        }
+        // Neither a multiple of the chunk size nor of 8: the last chunk
+        // is short and ends mid-word.
+        let len = 5 * CHUNK_BYTES + 4093;
+        let mut m = MemoryPool::new();
+        let a = m.register(0, len);
+        let mut rng = simcore::SimRng::new(0x5eed);
+        for _ in 0..200 {
+            let n = 1 + rng.gen_range(300);
+            let at = rng.gen_range(len - n);
+            match rng.gen_range(4) {
+                0 => m.write_zeros(a, at, n),
+                1 => m.store_u64(a, rng.gen_range(len / 8) * 8, rng.next_u64()),
+                _ => {
+                    let bytes: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
+                    m.write(a, at, &bytes);
+                }
+            }
+        }
+        m.write(a, len - 3, b"end");
+        let Backing::Sparse(chunks) = &m.region(a).expect("registered").backing else {
+            unreachable!("registered backed");
+        };
+        assert!(chunks.last().expect("chunks").is_some(), "the short last chunk is covered");
+        let mut want = 0xcbf2_9ce4_8422_2325;
+        for (ci, c) in chunks.iter().enumerate() {
+            if let Some(c) = c {
+                assert_eq!(c[..], m.read(a, ci as u64 * CHUNK_BYTES, c.len() as u64)[..]);
+                want = bytewise(bytewise(want, &(ci as u64).to_le_bytes()), c);
+            }
+        }
+        assert_eq!(m.resident_digest(a), want);
     }
 }

@@ -6,6 +6,7 @@ cd "$(dirname "$0")/.."
 
 echo "== format =="
 cargo fmt --check
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "== build (release) =="
 cargo build --release --offline
@@ -15,6 +16,8 @@ cargo test -q --offline --workspace
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# perfbench is a Cargo workspace of its own, so the workspace lint misses it.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== bench binaries build =="
 cargo build --benches --release --offline
