@@ -174,7 +174,6 @@ struct FrontEnd {
     block_counts: HashMap<u64, usize>,
     ops_left: u64,
     state: FeState,
-    ipc_hop: SimTime,
     rng: SimRng,
     shared: Rc<RefCell<Shared>>,
 }
@@ -209,18 +208,13 @@ impl FrontEnd {
         cqe.at + hop
     }
 
-    /// Connection + pre/post hand-off cost for reaching back-end `socket`.
+    /// Connection + pre/post hand-off cost for reaching back-end `socket`:
+    /// every variant but `Basic` hands mis-matched requests to the proxy
+    /// socket.
     fn route(&self, target_socket: usize) -> (ConnId, SimTime) {
-        match self.variant {
-            HtVariant::Basic => (self.conns[self.socket], SimTime::ZERO),
-            _ => {
-                if target_socket == self.socket {
-                    (self.conns[target_socket], SimTime::ZERO)
-                } else {
-                    (self.conns[target_socket], self.ipc_hop)
-                }
-            }
-        }
+        let proxy = self.variant != HtVariant::Basic;
+        let (lane, hop) = remem::proxy_route(self.socket, target_socket, proxy);
+        (self.conns[lane], hop)
     }
 
     fn cold_faa(&mut self, now: SimTime, tb: &mut Testbed, key: u64) -> SimTime {
@@ -526,7 +520,6 @@ pub fn run_hashtable_debug(cfg: &HtConfig) -> (HtReport, Testbed) {
             block_counts: HashMap::new(),
             ops_left: (cfg.ops_per_fe / cfg.pipeline_depth.max(1) as u64).max(1),
             state: FeState::NextOp,
-            ipc_hop: remem::DEFAULT_IPC_HOP,
             rng: root_rng.split(1000 + lane as u64),
             shared: Rc::clone(&shared),
         }));

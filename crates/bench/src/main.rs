@@ -44,8 +44,8 @@ static HEAP_CURRENT: AtomicU64 = AtomicU64::new(0);
 /// Process-wide high-water mark of live heap bytes. Monotone: fleet-scale
 /// experiments (fig6-xxl's 2048-machine sparse pool) must keep this far
 /// below the dense-equivalent registration, and `bench-engine-v3` records
-/// it per experiment so regressions in memory footprint show up in
-/// `--bench-compare` like wall-clock regressions do.
+/// it per experiment so `--bench-compare` warns on memory-footprint
+/// regressions.
 static HEAP_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Accounting wrapper around the system allocator: tracks net live bytes
@@ -414,9 +414,11 @@ fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
 
 /// Re-run every experiment recorded in `baseline` and diff: `sim_ops`
 /// must match **exactly** (simulated work is deterministic; any drift is
-/// a behaviour change), wall-clock and peak-heap regressions beyond 25 %
-/// are flagged as warnings (timing is hardware-dependent and the peak is
-/// a process-wide high-water mark, so they don't fail the run). A
+/// a behaviour change) and a peak-heap regression beyond 25 % is flagged
+/// as a warning (the peak is a process-wide high-water mark, so it does
+/// not fail the run). Wall time is printed next to the baseline's but
+/// never judged: one single-shot run per experiment is too noisy to
+/// gate on, and host-time regressions are perfbench's to measure. A
 /// baseline that does not parse exits 2.
 fn bench_compare(path: &PathBuf, scale: Scale) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -429,7 +431,7 @@ fn bench_compare(path: &PathBuf, scale: Scale) {
     });
     let runs = par_map(baseline.iter().map(|r| r.spec).collect(), |spec| run_group(spec, scale));
     let mut drift = 0usize;
-    let mut slower = 0usize;
+    let mut heavier = 0usize;
     for (base, fresh) in baseline.iter().zip(&runs) {
         if base.sim_ops != fresh.sim_ops {
             eprintln!(
@@ -437,16 +439,6 @@ fn bench_compare(path: &PathBuf, scale: Scale) {
                 fresh.id, base.sim_ops, fresh.sim_ops
             );
             drift += 1;
-        }
-        if base.wall_ms > 0.0 && fresh.wall_ms > base.wall_ms * 1.25 {
-            eprintln!(
-                "warning {}: wall {:.1}ms is {:.0}% over baseline {:.1}ms",
-                fresh.id,
-                fresh.wall_ms,
-                (fresh.wall_ms / base.wall_ms - 1.0) * 100.0,
-                base.wall_ms
-            );
-            slower += 1;
         }
         let base_peak = base.peak_alloc_bytes;
         if base_peak > 0 && fresh.peak_alloc_bytes as f64 > base_peak as f64 * 1.25 {
@@ -457,7 +449,7 @@ fn bench_compare(path: &PathBuf, scale: Scale) {
                 (fresh.peak_alloc_bytes as f64 / base_peak as f64 - 1.0) * 100.0,
                 base_peak as f64 / (1u64 << 20) as f64
             );
-            slower += 1;
+            heavier += 1;
         }
         println!(
             "{:10} sim_ops {:>12} {} wall {:>8.1}ms (baseline {:.1}ms)",
@@ -475,11 +467,7 @@ fn bench_compare(path: &PathBuf, scale: Scale) {
     println!(
         "bench-compare passed: {} experiment(s) match baseline sim_ops exactly{}",
         baseline.len(),
-        if slower > 0 {
-            format!(", {slower} wall-time/peak-heap warning(s)")
-        } else {
-            String::new()
-        }
+        if heavier > 0 { format!(", {heavier} peak-heap warning(s)") } else { String::new() }
     );
 }
 

@@ -38,6 +38,46 @@ fn malformed_bench_baselines_exit_2() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Run `--bench-compare` against a one-row v3 baseline for `table2` with
+/// the given `sim_ops`, a 1 ns `wall_ms` no real run can match and no
+/// peak-heap bound.
+fn compare_table2(tag: &str, sim_ops: u64) -> Output {
+    let dir = std::env::temp_dir().join(format!("repro-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("v3.json");
+    std::fs::write(
+        &path,
+        format!(
+            "{{\n  \"schema\": \"bench-engine-v3\",\n  \"experiments\": [\n    \
+             {{\"id\": \"table2\", \"wall_ms\": 0.000001, \"sim_ops\": {sim_ops}, \
+             \"sim_ops_per_sec\": 0, \"peak_alloc_bytes\": 0, \"shards\": 1}}\n  ]\n}}\n"
+        ),
+    )
+    .unwrap();
+    let out = repro(&["--serial", "--bench-compare", path.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    out
+}
+
+#[test]
+fn bench_compare_passes_matching_sim_ops_without_judging_wall_time() {
+    let out = compare_table2("match", 10240);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("warning"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("bench-compare passed: 1 experiment(s)"), "{stdout}");
+    assert!(!stdout.contains("warning"), "{stdout}");
+}
+
+#[test]
+fn bench_compare_fails_on_sim_ops_drift() {
+    let out = compare_table2("drift", 1);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("DRIFT table2: sim_ops 1 (baseline) != 10240 (fresh)"), "{stderr}");
+}
+
 #[test]
 fn check_determinism_keeps_the_jobs_override() {
     let dir = std::env::temp_dir().join(format!("repro-cli-jobs-{}", std::process::id()));

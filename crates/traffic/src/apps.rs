@@ -131,7 +131,6 @@ pub struct HtDriver {
     hot: [MrId; 2],
     zipf: Arc<ZipfAlias>,
     rng: SimRng,
-    ipc_hop: SimTime,
     block_counts: Vec<u32>,
 }
 
@@ -140,13 +139,8 @@ impl HtDriver {
     /// `(conn, lane, hop)` — `lane` is the socket whose QP and local
     /// buffers carry the op (basic always uses the worker's own lane).
     fn route(&self, target_socket: usize) -> (ConnId, usize, SimTime) {
-        if !self.optimized {
-            (self.conns[self.socket], self.socket, SimTime::ZERO)
-        } else if target_socket == self.socket {
-            (self.conns[target_socket], target_socket, SimTime::ZERO)
-        } else {
-            (self.conns[target_socket], target_socket, self.ipc_hop)
-        }
+        let (lane, hop) = remem::proxy_route(self.socket, target_socket, self.optimized);
+        (self.conns[lane], lane, hop)
     }
 
     fn issue(&mut self, now: SimTime, tb: &mut Testbed, out: &mut Vec<(SimTime, SimTime)>) {
@@ -480,7 +474,6 @@ pub fn build(cfg: &TrafficConfig) -> (Testbed, Vec<(usize, OpenLoopWorker)>) {
                         hot,
                         zipf: shared_zipf(HT_KEYS),
                         rng: root.split(2000 + widx as u64),
-                        ipc_hop: remem::DEFAULT_IPC_HOP,
                         block_counts: vec![0; 2 * RING_BLOCKS as usize],
                     })
                 }

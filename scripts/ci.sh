@@ -67,9 +67,16 @@ cargo run --release --offline -p bench -- --txn all --load 0.05 --check-determin
 echo "== micro set, sharded (--shards 2) =="
 cargo run --release --offline -p bench -- micro --shards 2 >/dev/null
 
+echo "== root examples (each must run to completion; three assert on their own results) =="
+for ex in quickstart remote_locks disaggregated_kv shuffle_pipeline; do
+    cargo run --release --offline --quiet --example "$ex" >/dev/null
+done
+
 echo "== bench-compare (sim_ops must match committed BENCH_engine.json) =="
-# --serial: the committed baseline was recorded serially, so wall-time
-# comparisons are apples-to-apples (sim_ops are identical either way).
+# --serial: the committed baseline was recorded serially, and the peak
+# heap is a process-wide high-water mark that concurrent experiments would
+# share, so only a serial run checks each one's footprint (sim_ops are
+# identical either way).
 cargo run --release --offline -p bench -- --serial --bench-compare BENCH_engine.json
 
 echo "== static verb analysis (verbcheck over every experiment program) =="

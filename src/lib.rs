@@ -8,7 +8,7 @@
 //! | host | [`host`] | memory hierarchy, NUMA, local atomics |
 //! | device | [`nic`] | RNIC model: MTT/QPC caches, PCIe, exec units |
 //! | cluster | [`net`] | machines, fabric, verbs, client runtime |
-//! | guidelines | [`opt`] | vector IO, consolidation, proxy routing, remote locks |
+//! | guidelines | [`opt`] | vector IO, consolidation, proxy-socket routing, remote locks and sequencers |
 //! | workloads | [`gen`] | Zipf/KV/join/shuffle/log generators |
 //! | case studies | [`study`] | hashtable, shuffle, join, distributed log |
 //!
